@@ -125,13 +125,16 @@ FaultSimResult mergeShardResults(
   return merged;
 }
 
-double ShardedRunner::ensureCheckpoint(const TestSequence& seq) {
-  const std::uint64_t fp = GoodMachineCheckpoint::fingerprint(seq);
-  if (checkpoint_ != nullptr && checkpoint_->seqFingerprint() == fp) return 0.0;
+double ShardedRunner::ensureCheckpoint(const TestSequence& seq,
+                                       std::uint64_t seqFingerprint) {
+  if (checkpoint_ != nullptr && checkpoint_->seqFingerprint() == seqFingerprint) {
+    return 0.0;
+  }
   // Charge the recording time to the run that actually recorded; cache
   // hits (in this runner or a shared store) cost nothing.
   bool recordedNow = false;
-  checkpoint_ = store_->acquire(net_, seq, options_, &recordedNow);
+  checkpoint_ =
+      store_->acquire(net_, seq, seqFingerprint, options_, &recordedNow);
   return recordedNow ? checkpoint_->recordSeconds() : 0.0;
 }
 
@@ -236,7 +239,10 @@ std::vector<FaultSimResult> ShardedRunner::runReplayBatches(
 FaultSimResult ShardedRunner::run(const TestSequence& seq,
                                   const PatternCallback& onPattern) {
   Timer total;
-  const double recordSeconds = ensureCheckpoint(seq);
+  // Hashed once: the store lookup and every batch engine's checkpoint check
+  // reuse it.
+  const std::uint64_t seqFp = GoodMachineCheckpoint::fingerprint(seq);
+  const double recordSeconds = ensureCheckpoint(seq, seqFp);
   // The batch schedule is sized for the workers that will actually run (see
   // runReplayBatches' hardware cap), so a 1-core machine does not pay 4
   // cores' worth of per-batch replay overhead.
@@ -245,7 +251,9 @@ FaultSimResult ShardedRunner::run(const TestSequence& seq,
   const sched::BatchPlan plan = buildPlan(effective);
 
   const std::vector<FaultSimResult> batchResults = runReplayBatches(
-      plan, [&seq](ConcurrentFaultSimulator& sim) { return sim.run(seq); });
+      plan, [&seq, seqFp](ConcurrentFaultSimulator& sim) {
+        return sim.run(seq, seqFp);
+      });
 
   FaultSimResult merged =
       mergeShardResults(batchResults, plan.slices, seq.size(),

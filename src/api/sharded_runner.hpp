@@ -172,7 +172,9 @@ class ShardedRunner : public FaultSimulator {
   /// Fetches the checkpoint for `seq` from the store (recording on a cache
   /// miss). Returns the recording seconds this call newly spent (0 on a
   /// cache hit) for the totalCpuSeconds accounting.
-  double ensureCheckpoint(const TestSequence& seq);
+  /// `seqFingerprint` is GoodMachineCheckpoint::fingerprint(seq), hashed
+  /// once per run by the caller.
+  double ensureCheckpoint(const TestSequence& seq, std::uint64_t seqFingerprint);
   /// Streaming twin of ensureCheckpoint: keyed on the source fingerprint,
   /// recording through the store's streaming path on a miss.
   double ensureCheckpointStream(PatternSource& source);

@@ -72,12 +72,21 @@ std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquireImpl(
 std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquire(
     const Network& net, const TestSequence& seq, const FsimOptions& options,
     bool* recordedNow) {
-  const Key key{networkFingerprint(net), GoodMachineCheckpoint::fingerprint(seq),
+  return acquire(net, seq, GoodMachineCheckpoint::fingerprint(seq), options,
+                 recordedNow);
+}
+
+std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquire(
+    const Network& net, const TestSequence& seq, std::uint64_t seqFingerprint,
+    const FsimOptions& options, bool* recordedNow) {
+  const Key key{networkFingerprint(net), seqFingerprint,
                 simOptionsFingerprint(options), false};
   return acquireImpl(key, recordedNow, [&] {
-    return GoodMachineCheckpoint::record(net, seq, options,
-                                         options_.budgetBytes,
-                                         options_.spillDir);
+    GoodMachineCheckpoint ck = GoodMachineCheckpoint::record(
+        net, seq, options, options_.budgetBytes, options_.spillDir);
+    FMOSSIM_ASSERT(ck.seqFingerprint() == seqFingerprint,
+                   "acquire: fingerprint does not match the test sequence");
+    return ck;
   });
 }
 

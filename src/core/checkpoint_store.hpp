@@ -80,6 +80,12 @@ class CheckpointStore {
   std::shared_ptr<const GoodMachineCheckpoint> acquire(
       const Network& net, const TestSequence& seq, const FsimOptions& options,
       bool* recordedNow = nullptr);
+  /// acquire() for a caller that already holds `seqFingerprint` ==
+  /// GoodMachineCheckpoint::fingerprint(seq), so the lookup does not
+  /// rehash the sequence (a recording on a miss is asserted to match it).
+  std::shared_ptr<const GoodMachineCheckpoint> acquire(
+      const Network& net, const TestSequence& seq, std::uint64_t seqFingerprint,
+      const FsimOptions& options, bool* recordedNow = nullptr);
 
   /// Streaming variant: keyed on the source's fingerprint (the same fold as
   /// a materialized sequence's), recording through the streaming

@@ -27,35 +27,30 @@ struct FaultyCircuitView {
   State nodeState(NodeId n) const { return s->stateIn(n, c); }
   State conduction(TransId t) const { return s->conductionIn(t, c); }
   bool isInputNode(NodeId n) const {
-    return s->net_.isInput(n) || s->isStuckNode(n, c);
+    // A stuck overlay implies divCount_ > 0, so the guard the state lookup
+    // of the same node reads also skips the overlay search here.
+    return s->isInput_[n.value] != 0 ||
+           (s->divCount_[n.value] != 0 && s->isStuckNode(n, c));
   }
 };
 
-bool ConcurrentFaultSimulator::isStuckNode(NodeId n, CircuitId c) const {
-  return findOverride(nodeStuck_[n.value], c) != nullptr;
-}
-
-State ConcurrentFaultSimulator::stuckValue(NodeId n, CircuitId c) const {
-  const Override* o = findOverride(nodeStuck_[n.value], c);
-  FMOSSIM_ASSERT(o != nullptr, "stuckValue on a non-stuck node");
-  return o->value;
-}
-
-State ConcurrentFaultSimulator::stateIn(NodeId n, CircuitId c) const {
-  if (divCount_[n.value] != 0) {
+State ConcurrentFaultSimulator::divergedStateIn(NodeId n, CircuitId c) const {
+  if (stuckCount_[n.value] != 0) {
     if (const Override* o = findOverride(nodeStuck_[n.value], c)) {
       return o->value;
     }
-    const StateTable::Lookup r = table_.lookup(n, c);
-    if (r.diverges) return r.value;
   }
-  if (goodOldStamp_[n.value] == phaseEpoch_) return goodOldValue_[n.value];
-  return table_.good(n);
+  const StateTable::Lookup r = table_.lookup(n, c);
+  if (r.diverges) return r.value;
+  return preGood(n);
 }
 
-State ConcurrentFaultSimulator::conductionIn(TransId t, CircuitId c) const {
-  if (const Override* o = findOverride(transOverride_[t.value], c)) {
-    return o->value;
+State ConcurrentFaultSimulator::divergedConductionIn(TransId t,
+                                                     CircuitId c) const {
+  if (overrideCount_[t.value] != 0) {
+    if (const Override* o = findOverride(transOverride_[t.value], c)) {
+      return o->value;
+    }
   }
   const auto& tr = net_.transistor(t);
   if (tr.isFaultDevice()) return *tr.goodConduction;
@@ -92,6 +87,8 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
       replay_(replay),
       table_(net),
       cond0_(net.numTransistors(), State::SX),
+      condOldValue_(net.numTransistors(), State::SX),
+      condOldStamp_(net.numTransistors(), 0),
       nodeStuck_(net.numNodes()),
       transOverride_(net.numTransistors()),
       alive_(numMachines + 1, 0),
@@ -99,7 +96,16 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
       touched_(numMachines + 1),
       touchedCap_(numMachines + 1, 16),
       watchCount_(net.numNodes(), 0),
-      divCount_(net.numNodes(), 0),
+      divCount_(net.numNodes() + 1, 0),
+      stuckCount_(net.numNodes(), 0),
+      overrideCount_(net.numTransistors(), 0),
+      condGate_(net.numTransistors(), net.numNodes()),
+      isInput_(net.numNodes(), 0),
+      divChanOff_(net.numNodes() + 1, 0),
+      divChanSize_(net.numNodes(), 0),
+      chanDivergent_(net.numTransistors(), 0),
+      divChanSlot_(net.numTransistors(), {kNotListed, kNotListed}),
+      stuckNbrCount_(net.numNodes(), 0),
       goodSeedStamp_(net.numNodes(), 0),
       faultySeeds_(numMachines + 1),
       circuitStamp_(numMachines + 1, 0),
@@ -156,8 +162,16 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
       table_.setGood(NodeId(n), good[n]);
     }
   }
+  for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
+    const Network::Node& node = net_.node(NodeId(n));
+    isInput_[n] = node.isInput ? 1 : 0;
+    divChanOff_[n + 1] =
+        divChanOff_[n] + static_cast<std::uint32_t>(node.channelOf.size());
+  }
+  divChan_.resize(divChanOff_.back());
   for (std::uint32_t t = 0; t < net_.numTransistors(); ++t) {
     const auto& tr = net_.transistor(TransId(t));
+    if (!tr.isFaultDevice()) condGate_[t] = tr.gate.value;
     cond0_[t] = tr.isFaultDevice()
                     ? *tr.goodConduction
                     : conductionState(tr.type, table_.good(tr.gate));
@@ -200,7 +214,6 @@ void ConcurrentFaultSimulator::inject() {
       case FaultKind::NodeStuck: {
         nodeStuck_[f.node.value].push_back({c, f.value});  // ascending c
         addStuckWatch(f.node, +1);
-        ++divCount_[f.node.value];
         scheduleFaulty(c, f.node);
         for (const TransId t : net_.node(f.node).gateOf) {
           const auto& tr = net_.transistor(t);
@@ -235,7 +248,7 @@ void ConcurrentFaultSimulator::scheduleFaulty(CircuitId c, NodeId n) {
   if (!alive_[c]) return;
   // A plain input node cannot change in circuit c; stuck nodes (input-like
   // per circuit) are allowed as seeds — the vicinity builder expands them.
-  if (net_.isInput(n) && !isStuckNode(n, c)) return;
+  if (isInput_[n.value] != 0 && !isStuckNode(n, c)) return;
   faultySeeds_[c].push_back(n);
   if (circuitStamp_[c] != seedGen_) {
     circuitStamp_[c] = seedGen_;
@@ -285,7 +298,7 @@ void ConcurrentFaultSimulator::scheduleSettingSeeds(NodeId n, State /*oldGood*/)
     for (const Override& o : transOverride_[t.value]) {
       if (o.value != State::S0) scheduleFaulty(o.circuit, other);
     }
-    if (!tr.isFaultDevice()) {
+    if (divCount_[condGate_[t.value]] != 0) {
       const NodeId g = tr.gate;
       table_.forEachRecord(g, [&](CircuitId rc, State rv) {
         if (conductionState(tr.type, rv) != State::S0) {
@@ -403,7 +416,7 @@ void ConcurrentFaultSimulator::processGoodPhase(bool coerce) {
       if (tr.isFaultDevice()) continue;
       const State nc = conductionState(tr.type, v);
       if (nc != cond0_[t.value]) {
-        cond0_[t.value] = nc;
+        commitGoodConduction(t, nc);
         scheduleGood(tr.source);
         scheduleGood(tr.drain);
       }
@@ -425,21 +438,30 @@ void ConcurrentFaultSimulator::collectTriggers(
   for (const NodeId n : members) {
     // No divergence source lands on this member: nothing below can mark.
     if (watchCount_[n.value] == 0) continue;
-    table_.forEachRecord(n, [&](CircuitId rc, State) { mark(rc); });
-    for (const Override& o : nodeStuck_[n.value]) mark(o.circuit);
-    for (const TransId t : net_.node(n).channelOf) {
+    if (divCount_[n.value] != 0) {
+      table_.forEachRecord(n, [&](CircuitId rc, State) { mark(rc); });
+      for (const Override& o : nodeStuck_[n.value]) mark(o.circuit);
+    }
+    // Only channels that carry an override or whose gate diverges can mark;
+    // the rest of channelOf (most of a bit line's transistors) is skipped.
+    const TransId* chan = divChan_.data() + divChanOff_[n.value];
+    for (std::uint32_t i = 0; i < divChanSize_[n.value]; ++i) {
+      const TransId t = chan[i];
       for (const Override& o : transOverride_[t.value]) mark(o.circuit);
-      const auto& tr = net_.transistor(t);
-      if (!tr.isFaultDevice()) {
-        const NodeId g = tr.gate;
-        table_.forEachRecord(g, [&](CircuitId rc, State) { mark(rc); });
-        for (const Override& o : nodeStuck_[g.value]) mark(o.circuit);
+      const std::uint32_t g = condGate_[t.value];
+      if (divCount_[g] != 0) {
+        table_.forEachRecord(NodeId(g), [&](CircuitId rc, State) { mark(rc); });
+        for (const Override& o : nodeStuck_[g]) mark(o.circuit);
       }
-      // A stuck *input* neighbour diverges in its circuit without ever
-      // carrying a state record; it influences this vicinity directly.
-      const NodeId other = tr.otherEnd(n);
-      if (net_.isInput(other)) {
-        for (const Override& o : nodeStuck_[other.value]) mark(o.circuit);
+    }
+    // A stuck *input* neighbour diverges in its circuit without ever
+    // carrying a state record; it influences this vicinity directly.
+    if (stuckNbrCount_[n.value] != 0) {
+      for (const TransId t : net_.node(n).channelOf) {
+        const NodeId other = net_.transistor(t).otherEnd(n);
+        if (isInput_[other.value] != 0) {
+          for (const Override& o : nodeStuck_[other.value]) mark(o.circuit);
+        }
       }
     }
   }
@@ -504,7 +526,7 @@ void ConcurrentFaultSimulator::replayGoodPhase() {
     for (const TransId t : net_.node(n).gateOf) {
       const auto& tr = net_.transistor(t);
       if (tr.isFaultDevice()) continue;
-      cond0_[t.value] = conductionState(tr.type, ch.value);
+      commitGoodConduction(t, conductionState(tr.type, ch.value));
     }
   }
 }
@@ -533,10 +555,8 @@ void ConcurrentFaultSimulator::processFaultyCircuit(CircuitId c, bool coerce) {
     if (rec.inserted) {
       touchedInsert(c, n);
       addRecordWatch(n, +1);
-      ++divCount_[n.value];
     } else if (rec.erased) {
       addRecordWatch(n, -1);
-      --divCount_[n.value];
     }
   }
   // Gate toggles within circuit c schedule next-phase events for c.
@@ -544,7 +564,7 @@ void ConcurrentFaultSimulator::processFaultyCircuit(CircuitId c, bool coerce) {
     for (const TransId t : net_.node(ch.node).gateOf) {
       const auto& tr = net_.transistor(t);
       if (tr.isFaultDevice()) continue;
-      if (findOverride(transOverride_[t.value], c) != nullptr) continue;
+      if (hasOverride(t, c)) continue;
       if (conductionState(tr.type, ch.oldValue) !=
           conductionState(tr.type, ch.newValue)) {
         scheduleFaulty(c, tr.source);
@@ -568,7 +588,7 @@ struct LaneLeaderView {
   State nodeState(NodeId n) const { return s->logNodeRead(n); }
   State conduction(TransId t) const { return s->logTransRead(t); }
   bool isInputNode(NodeId n) const {
-    if (s->net_.isInput(n)) return true;
+    if (s->isInput_[n.value] != 0) return true;
     if (s->isStuckNode(n, c)) {
       s->liveCandMask_ = 0;  // boundary shaped by the leader's own fault
       return true;
@@ -594,16 +614,16 @@ State ConcurrentFaultSimulator::logNodeRead(NodeId n) {
   // lanes whose state equals the leader's observed value, recordless lanes
   // reading the pre-phase good lens.
   if (divCount_[n.value] != 0) {
-    if (isStuckNode(n, leaderCircuit_)) {
-      liveCandMask_ = 0;  // boundary shaped by the leader's own fault
-      return v;
+    if (stuckCount_[n.value] != 0) {
+      if (isStuckNode(n, leaderCircuit_)) {
+        liveCandMask_ = 0;  // boundary shaped by the leader's own fault
+        return v;
+      }
+      liveCandMask_ &= ~stuckLaneMask(n, laneGroup_);
     }
-    liveCandMask_ &= ~stuckLaneMask(n, laneGroup_);
     if (liveCandMask_ != 0) {
-      const State bg = goodOldStamp_[n.value] == phaseEpoch_
-                           ? goodOldValue_[n.value]
-                           : table_.good(n);
-      liveCandMask_ = table_.matchLanes(n, laneGroup_, liveCandMask_, v, bg);
+      liveCandMask_ =
+          table_.matchLanes(n, laneGroup_, liveCandMask_, v, preGood(n));
     }
   }
   return v;
@@ -616,11 +636,13 @@ State ConcurrentFaultSimulator::logTransRead(TransId t) {
   if (liveCandMask_ == 0) return conductionIn(t, leaderCircuit_);
   if (readTransStamp_[t.value] != readGen_) {
     readTransStamp_[t.value] = readGen_;
-    if (findOverride(transOverride_[t.value], leaderCircuit_) != nullptr) {
-      liveCandMask_ = 0;  // conduction shaped by the leader's own fault
-      return conductionIn(t, leaderCircuit_);
+    if (overrideCount_[t.value] != 0) {
+      if (hasOverride(t, leaderCircuit_)) {
+        liveCandMask_ = 0;  // conduction shaped by the leader's own fault
+        return conductionIn(t, leaderCircuit_);
+      }
+      liveCandMask_ &= ~overrideLaneMask(t, laneGroup_);
     }
-    liveCandMask_ &= ~overrideLaneMask(t, laneGroup_);
     const auto& tr = net_.transistor(t);
     if (tr.isFaultDevice()) return *tr.goodConduction;  // circuit-independent
     // Route the gate read through logNodeRead so mates are matched on the
@@ -802,7 +824,7 @@ std::uint32_t ConcurrentFaultSimulator::processLaneLeader(
     for (const TransId t : net_.node(ch.node).gateOf) {
       const auto& tr = net_.transistor(t);
       if (tr.isFaultDevice()) continue;
-      if (findOverride(transOverride_[t.value], c) != nullptr) {
+      if (hasOverride(t, c)) {
         candMask = 0;  // leader skips this toggle; unoverridden mates would not
         break;
       }
@@ -810,7 +832,7 @@ std::uint32_t ConcurrentFaultSimulator::processLaneLeader(
       if (conductionState(tr.type, ch.oldValue) !=
           conductionState(tr.type, ch.newValue)) {
         for (const NodeId nb : {tr.source, tr.drain}) {
-          if (!net_.isInput(nb)) continue;
+          if (isInput_[nb.value] == 0) continue;
           if (isStuckNode(nb, c)) {
             candMask = 0;  // leader seeds a stuck input; non-stuck mates skip
             break;
@@ -835,13 +857,9 @@ std::uint32_t ConcurrentFaultSimulator::processLaneLeader(
         m &= m - 1;
         touchedInsert(lanes::circuitAt(group, l), n);
       }
-      const auto delta = static_cast<std::int32_t>(std::popcount(lc.insertedMask));
-      addRecordWatch(n, delta);
-      divCount_[n.value] += static_cast<std::uint32_t>(delta);
+      addRecordWatch(n, std::popcount(lc.insertedMask));
     } else if (lc.erasedMask != 0) {
-      const auto delta = static_cast<std::int32_t>(std::popcount(lc.erasedMask));
-      addRecordWatch(n, -delta);
-      divCount_[n.value] -= static_cast<std::uint32_t>(delta);
+      addRecordWatch(n, -std::popcount(lc.erasedMask));
     }
   }
 
@@ -856,7 +874,7 @@ std::uint32_t ConcurrentFaultSimulator::processLaneLeader(
           conductionState(tr.type, ch.newValue)) {
         continue;
       }
-      if (findOverride(transOverride_[t.value], c) == nullptr) {
+      if (!hasOverride(t, c)) {
         scheduleFaulty(c, tr.source);
         scheduleFaulty(c, tr.drain);
       }
@@ -936,10 +954,7 @@ void ConcurrentFaultSimulator::dropCircuit(CircuitId c) {
   for (const NodeId n : touched_[c]) {
     // touched_ may hold duplicates (re-divergence after convergence); only a
     // real erase decrements the watch counts.
-    if (table_.erase(n, c)) {
-      addRecordWatch(n, -1);
-      --divCount_[n.value];
-    }
+    if (table_.erase(n, c)) addRecordWatch(n, -1);
   }
   touched_[c].clear();
   touched_[c].shrink_to_fit();
@@ -965,7 +980,6 @@ void ConcurrentFaultSimulator::removeOverlay(CircuitId c) {
         }
       }
       addStuckWatch(m.node, -1);
-      --divCount_[m.node.value];
     }
     return;
   }
@@ -982,7 +996,6 @@ void ConcurrentFaultSimulator::removeOverlay(CircuitId c) {
     case FaultKind::NodeStuck:
       removeFrom(nodeStuck_[f.node.value]);
       addStuckWatch(f.node, -1);
-      --divCount_[f.node.value];
       break;
     case FaultKind::TransistorStuck:
     case FaultKind::FaultDevice:
@@ -993,25 +1006,32 @@ void ConcurrentFaultSimulator::removeOverlay(CircuitId c) {
 }
 
 // The three watch helpers mirror collectTriggers' member scan: each counts,
-// at every node the scan could mark from, one unit per divergence source.
+// at every node the scan could mark from, one unit per divergence source,
+// and keeps the flat guards in step with the overlay and record tables.
 
 void ConcurrentFaultSimulator::addRecordWatch(NodeId m, std::int32_t delta) {
+  const std::uint32_t before = divCount_[m.value];
+  divCount_[m.value] += static_cast<std::uint32_t>(delta);
   watchCount_[m.value] += static_cast<std::uint32_t>(delta);  // member scan
+  const bool crossed = (before == 0) != (divCount_[m.value] == 0);
   for (const TransId t : net_.node(m).gateOf) {               // gate scan
     const auto& tr = net_.transistor(t);
     if (tr.isFaultDevice()) continue;
     watchCount_[tr.source.value] += static_cast<std::uint32_t>(delta);
     watchCount_[tr.drain.value] += static_cast<std::uint32_t>(delta);
+    if (crossed) refreshDivergentChannel(t);
   }
 }
 
 void ConcurrentFaultSimulator::addStuckWatch(NodeId n, std::int32_t delta) {
+  stuckCount_[n.value] += static_cast<std::uint32_t>(delta);
   // A stuck overlay influences the same member/gate scans as a record...
   addRecordWatch(n, delta);
-  if (net_.isInput(n)) {  // ...plus the stuck-input-neighbour scan
+  if (isInput_[n.value] != 0) {  // ...plus the stuck-input-neighbour scan
     for (const TransId t : net_.node(n).channelOf) {
-      watchCount_[net_.transistor(t).otherEnd(n).value] +=
-          static_cast<std::uint32_t>(delta);
+      const NodeId other = net_.transistor(t).otherEnd(n);
+      watchCount_[other.value] += static_cast<std::uint32_t>(delta);
+      stuckNbrCount_[other.value] += static_cast<std::uint32_t>(delta);
     }
   }
 }
@@ -1020,6 +1040,120 @@ void ConcurrentFaultSimulator::addTransWatch(TransId t, std::int32_t delta) {
   const auto& tr = net_.transistor(t);  // channel-override scan
   watchCount_[tr.source.value] += static_cast<std::uint32_t>(delta);
   watchCount_[tr.drain.value] += static_cast<std::uint32_t>(delta);
+  overrideCount_[t.value] += static_cast<std::uint32_t>(delta);
+  refreshDivergentChannel(t);
+}
+
+void ConcurrentFaultSimulator::refreshDivergentChannel(TransId t) {
+  const bool divergent =
+      overrideCount_[t.value] != 0 || divCount_[condGate_[t.value]] != 0;
+  if (divergent == (chanDivergent_[t.value] != 0)) return;
+  chanDivergent_[t.value] = divergent ? 1 : 0;
+  std::array<std::uint32_t, 2>& slots = divChanSlot_[t.value];
+  const auto& tr = net_.transistor(t);
+  const NodeId ends[2] = {tr.source, tr.drain};
+  for (std::size_t e = 0; e < 2; ++e) {
+    const std::uint32_t n = ends[e].value;
+    TransId* chan = divChan_.data() + divChanOff_[n];
+    if (divergent) {
+      slots[e] = divChanSize_[n]++;
+      chan[slots[e]] = t;
+      continue;
+    }
+    // Swap-remove: the list's last transistor takes t's slot.
+    const TransId moved = chan[--divChanSize_[n]];
+    chan[slots[e]] = moved;
+    divChanSlot_[moved.value][net_.transistor(moved).source.value == n ? 0 : 1] =
+        slots[e];
+    slots[e] = kNotListed;
+  }
+}
+
+void ConcurrentFaultSimulator::checkIndexes() const {
+  const std::uint32_t numNodes = net_.numNodes();
+  const std::uint32_t numTrans = net_.numTransistors();
+  // Recompute every count from the overlay tables and the state table.
+  std::vector<std::uint32_t> div(numNodes + 1, 0), watch(numNodes, 0),
+      stuckNbr(numNodes, 0);
+  for (std::uint32_t n = 0; n < numNodes; ++n) {
+    div[n] = table_.recordCountAt(NodeId(n)) +
+             static_cast<std::uint32_t>(nodeStuck_[n].size());
+    FMOSSIM_ASSERT(stuckCount_[n] == nodeStuck_[n].size(),
+                   "stuck count out of step with the stuck overlays");
+    FMOSSIM_ASSERT(isInput_[n] == (net_.isInput(NodeId(n)) ? 1 : 0),
+                   "flat input flag out of step with the network");
+  }
+  for (std::uint32_t n = 0; n <= numNodes; ++n) {
+    FMOSSIM_ASSERT(divCount_[n] == div[n],
+                   "divergence count out of step with records and overlays");
+  }
+  for (std::uint32_t n = 0; n < numNodes; ++n) {
+    const Network::Node& node = net_.node(NodeId(n));
+    watch[n] += div[n];
+    for (const TransId t : node.gateOf) {
+      const auto& tr = net_.transistor(t);
+      if (tr.isFaultDevice()) continue;
+      watch[tr.source.value] += div[n];
+      watch[tr.drain.value] += div[n];
+    }
+    if (node.isInput) {
+      for (const TransId t : node.channelOf) {
+        const NodeId other = net_.transistor(t).otherEnd(NodeId(n));
+        watch[other.value] += stuckCount_[n];
+        stuckNbr[other.value] += stuckCount_[n];
+      }
+    }
+  }
+  for (std::uint32_t t = 0; t < numTrans; ++t) {
+    const auto& tr = net_.transistor(TransId(t));
+    FMOSSIM_ASSERT(overrideCount_[t] == transOverride_[t].size(),
+                   "override count out of step with the overrides");
+    FMOSSIM_ASSERT(
+        condGate_[t] == (tr.isFaultDevice() ? numNodes : tr.gate.value),
+                   "flat gate out of step with the network");
+    watch[tr.source.value] += overrideCount_[t];
+    watch[tr.drain.value] += overrideCount_[t];
+    // Listed at both ends exactly when it carries an override or its gate
+    // diverges, at the slot its index says.
+    const bool divergent =
+        !transOverride_[t].empty() || (!tr.isFaultDevice() && div[tr.gate.value] != 0);
+    FMOSSIM_ASSERT(chanDivergent_[t] == (divergent ? 1 : 0),
+                   "divergent-channel flag out of step with its sources");
+    const NodeId ends[2] = {tr.source, tr.drain};
+    for (std::size_t e = 0; e < 2; ++e) {
+      const std::uint32_t slot = divChanSlot_[t][e];
+      if (!divergent) {
+        FMOSSIM_ASSERT(slot == kNotListed,
+                       "undivergent channel on a divergent-channel list");
+        continue;
+      }
+      const std::uint32_t n = ends[e].value;
+      FMOSSIM_ASSERT(slot < divChanSize_[n] &&
+                         divChan_[divChanOff_[n] + slot] == TransId(t),
+                     "divergent channel missing from its node's list");
+    }
+  }
+  for (std::uint32_t n = 0; n < numNodes; ++n) {
+    FMOSSIM_ASSERT(watchCount_[n] == watch[n],
+                   "trigger watch count out of step with its sources");
+    FMOSSIM_ASSERT(stuckNbrCount_[n] == stuckNbr[n],
+                   "stuck-input-neighbour count out of step with the overlays");
+    FMOSSIM_ASSERT(divChanSize_[n] <= divChanOff_[n + 1] - divChanOff_[n],
+                   "divergent-channel list exceeds the node's channel count");
+  }
+  // With every listed transistor found at its slot above, sizes equal the
+  // number of divergent channels iff no list holds a stale entry.
+  std::vector<std::uint32_t> listed(numNodes, 0);
+  for (std::uint32_t t = 0; t < numTrans; ++t) {
+    if (divChanSlot_[t][0] == kNotListed) continue;
+    const auto& tr = net_.transistor(TransId(t));
+    ++listed[tr.source.value];
+    ++listed[tr.drain.value];
+  }
+  for (std::uint32_t n = 0; n < numNodes; ++n) {
+    FMOSSIM_ASSERT(divChanSize_[n] == listed[n],
+                   "stale entry on a divergent-channel list");
+  }
 }
 
 // --- per-phase vicinity-solution memo (see header for the rationale) -------
@@ -1173,14 +1307,26 @@ FaultSimResult ConcurrentFaultSimulator::run(const TestSequence& seq) {
 FaultSimResult ConcurrentFaultSimulator::run(
     const TestSequence& seq,
     const std::function<void(const PatternStat&)>& onPattern) {
+  return runSequence(
+      seq, replay_ != nullptr ? GoodMachineCheckpoint::fingerprint(seq) : 0,
+      onPattern);
+}
+
+FaultSimResult ConcurrentFaultSimulator::run(const TestSequence& seq,
+                                             std::uint64_t seqFingerprint) {
+  return runSequence(seq, seqFingerprint, nullptr);
+}
+
+FaultSimResult ConcurrentFaultSimulator::runSequence(
+    const TestSequence& seq, std::uint64_t seqFingerprint,
+    const std::function<void(const PatternStat&)>& onPattern) {
   FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
   FMOSSIM_ASSERT(!transientMode_,
                  "transient-mode engines run via runTransient/runTransientTail");
   ran_ = true;
   if (replay_ != nullptr) {
-    FMOSSIM_ASSERT(
-        replay_->seqFingerprint() == GoodMachineCheckpoint::fingerprint(seq),
-        "checkpoint was recorded for a different test sequence");
+    FMOSSIM_ASSERT(replay_->seqFingerprint() == seqFingerprint,
+                   "checkpoint was recorded for a different test sequence");
   }
   FaultSimResult res;
   res.numFaults = numMachines_;
@@ -1459,7 +1605,6 @@ void ConcurrentFaultSimulator::injectTransientFlip(CircuitId c) {
     if (rec.inserted) {
       touchedInsert(c, m.node);
       addRecordWatch(m.node, +1);
-      ++divCount_[m.node.value];
     }
     scheduleTransientSite(c, m.node);
     return;
@@ -1476,7 +1621,6 @@ void ConcurrentFaultSimulator::injectTransientFlip(CircuitId c) {
       [](const Override& o, CircuitId cc) { return o.circuit < cc; });
   v.insert(it, Override{c, flipped});
   addStuckWatch(m.node, +1);
-  ++divCount_[m.node.value];
   scheduleTransientSite(c, m.node);
 }
 
@@ -1492,7 +1636,6 @@ void ConcurrentFaultSimulator::releaseTransientPulse(CircuitId c) {
     }
   }
   addStuckWatch(m.node, -1);
-  --divCount_[m.node.value];
   // The held value stays behind as charge. A stuck node never carries a
   // record in its own circuit (it is input-like there), so reconciliation
   // inserts at most.
@@ -1502,7 +1645,6 @@ void ConcurrentFaultSimulator::releaseTransientPulse(CircuitId c) {
     if (rec.inserted) {
       touchedInsert(c, m.node);
       addRecordWatch(m.node, +1);
-      ++divCount_[m.node.value];
     }
   }
   scheduleTransientSite(c, m.node);
@@ -1531,7 +1673,8 @@ bool ConcurrentFaultSimulator::hasDivergence(CircuitId c) const {
 }
 
 FaultSimResult ConcurrentFaultSimulator::runTransient(
-    const TestSequence& seq, std::span<const TransientFault> specs) {
+    const TestSequence& seq, std::span<const TransientFault> specs,
+    const std::function<void(const PatternStat&)>& onPattern) {
   FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
   FMOSSIM_ASSERT(transientMode_ && replay_ == nullptr,
                  "runTransient is the naive (self-simulating) transient run");
@@ -1548,10 +1691,13 @@ FaultSimResult ConcurrentFaultSimulator::runTransient(
   std::uint32_t cumulative = 0;
 
   for (std::uint32_t pi = 0; pi < seq.size(); ++pi) {
+    Timer patternTimer;
+    const std::uint64_t evalsBefore = nodeEvals();
     for (const InputSetting& setting : seq[pi].settings) {
       applySetting(setting.span());
     }
-    cumulative += observe(seq.outputs(), pi);
+    const std::uint32_t newly = observe(seq.outputs(), pi);
+    cumulative += newly;
 
     // Injections and pulse releases at this pattern boundary, then settle
     // the perturbation in place.
@@ -1572,6 +1718,16 @@ FaultSimResult ConcurrentFaultSimulator::runTransient(
       }
     }
     if (perturbed) settleInPlace();
+    if (onPattern) {
+      PatternStat st;
+      st.index = pi;
+      st.seconds = patternTimer.seconds();
+      st.nodeEvals = nodeEvals() - evalsBefore;
+      st.newlyDetected = newly;
+      st.cumulativeDetected = cumulative;
+      st.aliveAfter = aliveCount_;
+      onPattern(st);
+    }
   }
 
   res.detectedAtPattern = detectedAt_;
@@ -1590,7 +1746,8 @@ FaultSimResult ConcurrentFaultSimulator::runTransient(
 }
 
 FaultSimResult ConcurrentFaultSimulator::runTransientTail(
-    std::span<const TransientFault> specs) {
+    std::span<const TransientFault> specs,
+    const std::function<void(const PatternStat&)>& onPattern) {
   FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
   FMOSSIM_ASSERT(transientMode_ && replay_ != nullptr,
                  "runTransientTail requires a checkpoint-resumed engine");
@@ -1624,6 +1781,8 @@ FaultSimResult ConcurrentFaultSimulator::runTransientTail(
   const std::uint32_t numSettles = replay_->numSettles();
   bool tailExited = false;
 
+  Timer patternTimer;
+  std::uint64_t evalsBefore = nodeEvals();
   for (std::uint32_t si = replaySettle_; si < numSettles; ++si) {
     replayBeginSettle();
     replayEntered_ = true;
@@ -1635,8 +1794,9 @@ FaultSimResult ConcurrentFaultSimulator::runTransientTail(
     settleAll();
     if (!replay_->patternEndsAtSettle(si)) continue;
 
-    cumulative += observe(replay_->outputs(),
-                          static_cast<std::uint32_t>(patternIndex));
+    const std::uint32_t newly =
+        observe(replay_->outputs(), static_cast<std::uint32_t>(patternIndex));
+    cumulative += newly;
 
     // Pulse releases at this boundary (all injections share the resume
     // instant, so releases are the only mid-tail perturbations).
@@ -1650,6 +1810,18 @@ FaultSimResult ConcurrentFaultSimulator::runTransientTail(
       }
     }
     if (perturbed) settleInPlace();
+    if (onPattern) {
+      PatternStat st;
+      st.index = static_cast<std::uint32_t>(patternIndex);
+      st.seconds = patternTimer.seconds();
+      st.nodeEvals = nodeEvals() - evalsBefore;
+      st.newlyDetected = newly;
+      st.cumulativeDetected = cumulative;
+      st.aliveAfter = aliveCount_;
+      onPattern(st);
+    }
+    patternTimer.reset();
+    evalsBefore = nodeEvals();
     ++patternIndex;
 
     // Every machine detected and dropped: the rest of the tail is pure

@@ -25,6 +25,7 @@
 // faults and activated fault devices are per-circuit conduction overrides.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -217,6 +218,12 @@ class ConcurrentFaultSimulator {
   FaultSimResult run(const TestSequence& seq,
                      const std::function<void(const PatternStat&)>& onPattern);
 
+  /// run(seq) for a caller that already holds `seqFingerprint` ==
+  /// GoodMachineCheckpoint::fingerprint(seq): replay mode compares it with
+  /// the checkpoint's instead of rehashing the sequence, so a sharded run
+  /// hashes its sequence once for all of its batch engines.
+  FaultSimResult run(const TestSequence& seq, std::uint64_t seqFingerprint);
+
   /// Streaming run: pulls patterns from `source` one at a time and never
   /// materializes per-pattern rows — each row goes to `sink` (and
   /// `onPattern`) as it completes and the result's perPattern stays empty
@@ -243,10 +250,13 @@ class ConcurrentFaultSimulator {
   /// Naive full-sequence transient run: simulates the whole sequence from
   /// scratch, flipping machine i+1 per specs[i] at its injection instant
   /// (specs.size() must equal the machine count; instants may differ).
-  /// Rowless result. Classification per machine: detectedAtPattern(i) >= 0
-  /// is detected; else hasDivergence(i+1) is latent; else silent.
-  FaultSimResult runTransient(const TestSequence& seq,
-                              std::span<const TransientFault> specs);
+  /// Rowless result; `onPattern` sees each pattern's row once the pattern's
+  /// injections and releases have settled. Classification per machine:
+  /// detectedAtPattern(i) >= 0 is detected; else hasDivergence(i+1) is
+  /// latent; else silent.
+  FaultSimResult runTransient(
+      const TestSequence& seq, std::span<const TransientFault> specs,
+      const std::function<void(const PatternStat&)>& onPattern = {});
 
   /// Checkpoint-tail transient run: every spec must share the engine's
   /// resume instant (a same-instant injection group). All machines are
@@ -254,7 +264,9 @@ class ConcurrentFaultSimulator {
   /// patterns are replayed from the trace. Early-exits once every machine
   /// is detected and dropped. Bit-identical to runTransient of the same
   /// specs over the recorded sequence.
-  FaultSimResult runTransientTail(std::span<const TransientFault> specs);
+  FaultSimResult runTransientTail(
+      std::span<const TransientFault> specs,
+      const std::function<void(const PatternStat&)>& onPattern = {});
 
   /// True when circuit c's state currently differs from the good circuit
   /// anywhere — records or an active pulse holding a value the good circuit
@@ -300,6 +312,13 @@ class ConcurrentFaultSimulator {
   std::uint64_t recordCount() const { return table_.totalRecords(); }
   std::uint32_t maxAliveObserved() const { return maxAliveObserved_; }
 
+  /// Consistency check for tests: recomputes every incrementally maintained
+  /// lookup index (divergence, stuck, override and trigger-watch counts, the
+  /// divergent-channel lists and the stuck-input-neighbour counts) from the
+  /// overlay tables and the state table, and fails an FMOSSIM_ASSERT on the
+  /// first mismatch. O(network + records); call between patterns.
+  void checkIndexes() const;
+
  private:
   friend struct GoodCircuitView;
   friend struct FaultyCircuitView;
@@ -322,6 +341,11 @@ class ConcurrentFaultSimulator {
                            bool transientMode,
                            std::uint64_t resumeAfterPattern);
 
+  /// Body of the materialized run() overloads; `seqFingerprint` is only
+  /// read in replay mode.
+  FaultSimResult runSequence(
+      const TestSequence& seq, std::uint64_t seqFingerprint,
+      const std::function<void(const PatternStat&)>& onPattern);
   void inject();
   SettleResult settleAll();
   void runPhase(bool coerce);
@@ -398,19 +422,29 @@ class ConcurrentFaultSimulator {
   void replayBeginSettle();
   void replayGoodPhase();
 
-  // Trigger watch counts: watchCount_[n] is the number of divergence sources
-  // (records, stuck-node overlays, transistor overrides) whose trigger scan
-  // lands on node n, mirroring collectTriggers' member scan exactly. A
-  // member with count 0 cannot mark any circuit, so the scan skips it — the
-  // common case once faults start dropping. Maintained incrementally on
-  // record insert/erase and overlay inject/removal.
+  // Index maintenance. Every divergence source — a record, a stuck-node
+  // overlay, a transistor override — enters and leaves through these three
+  // helpers, which keep all derived indexes in step: the per-node
+  // divergence and stuck counts, the per-transistor override counts, the
+  // divergent-channel lists, the stuck-input-neighbour counts and the
+  // trigger watch counts. watchCount_[n] is the number of sources whose
+  // trigger scan lands on node n, mirroring collectTriggers' member scan
+  // exactly; a member with count 0 cannot mark any circuit, so the scan
+  // skips it — the common case once faults start dropping.
   void addRecordWatch(NodeId m, std::int32_t delta);
   void addStuckWatch(NodeId n, std::int32_t delta);
   void addTransWatch(TransId t, std::int32_t delta);
+  /// Marks t divergent, and lists it at both channel ends, iff it carries
+  /// an override or its gate diverges (fault devices: override only) — the
+  /// transistors whose trigger scan can mark a circuit and whose conduction
+  /// can differ from the good circuit's. O(1) insert and swap-remove.
+  void refreshDivergentChannel(TransId t);
 
-  // Lookup helpers over the static overlay tables. Inline: this is the
-  // innermost lookup of the faulty-circuit views (tens of millions of calls
-  // per run, almost always over an empty or single-entry vector).
+  // Lookup helpers over the static overlay tables: the innermost lookups of
+  // the faulty-circuit views (tens of millions of calls per run). The
+  // common case — no circuit diverges at the node or transistor — is
+  // answered from flat arrays; the overlay vectors are searched only behind
+  // a non-zero count.
   static const Override* findOverride(const std::vector<Override>& v,
                                       CircuitId c) {
     for (const Override& o : v) {
@@ -418,10 +452,46 @@ class ConcurrentFaultSimulator {
     }
     return nullptr;
   }
-  bool isStuckNode(NodeId n, CircuitId c) const;
-  State stuckValue(NodeId n, CircuitId c) const;
-  State conductionIn(TransId t, CircuitId c) const;
-  State stateIn(NodeId n, CircuitId c) const;  // pre-phase view for circuit c
+  bool isStuckNode(NodeId n, CircuitId c) const {
+    return stuckCount_[n.value] != 0 &&
+           findOverride(nodeStuck_[n.value], c) != nullptr;
+  }
+  bool hasOverride(TransId t, CircuitId c) const {
+    return overrideCount_[t.value] != 0 &&
+           findOverride(transOverride_[t.value], c) != nullptr;
+  }
+  /// Good state of n as it was when the current phase began.
+  State preGood(NodeId n) const {
+    return goodOldStamp_[n.value] == phaseEpoch_ ? goodOldValue_[n.value]
+                                                 : table_.good(n);
+  }
+  /// Pre-phase view of node n in circuit c.
+  State stateIn(NodeId n, CircuitId c) const {
+    if (divCount_[n.value] == 0) return preGood(n);
+    return divergedStateIn(n, c);
+  }
+  /// Conduction of t in circuit c under the pre-phase lens. Without an
+  /// override and with an undivergent gate it is the good circuit's
+  /// pre-phase conduction: one stamped array read.
+  State conductionIn(TransId t, CircuitId c) const {
+    if (chanDivergent_[t.value] == 0) {
+      return condOldStamp_[t.value] == phaseEpoch_ ? condOldValue_[t.value]
+                                                   : cond0_[t.value];
+    }
+    return divergedConductionIn(t, c);
+  }
+  State divergedStateIn(NodeId n, CircuitId c) const;
+  State divergedConductionIn(TransId t, CircuitId c) const;
+  /// Sets the good conduction of t during a good-phase commit, stashing the
+  /// pre-phase value for the conduction lens.
+  void commitGoodConduction(TransId t, State nc) {
+    if (nc == cond0_[t.value]) return;
+    if (condOldStamp_[t.value] != phaseEpoch_) {
+      condOldStamp_[t.value] = phaseEpoch_;
+      condOldValue_[t.value] = cond0_[t.value];
+    }
+    cond0_[t.value] = nc;
+  }
 
   // Event scheduling.
   void scheduleGood(NodeId n);
@@ -450,6 +520,10 @@ class ConcurrentFaultSimulator {
 
   StateTable table_;
   std::vector<State> cond0_;  // good-circuit conduction states
+  // Pre-phase good conduction for transistors whose cond0_ the good circuit
+  // changed this phase (the conduction counterpart of goodOldValue_).
+  std::vector<State> condOldValue_;
+  std::vector<std::uint32_t> condOldStamp_;
 
   // Static per-circuit overlays.
   std::vector<std::vector<Override>> nodeStuck_;     // per node
@@ -472,8 +546,31 @@ class ConcurrentFaultSimulator {
   // Per node: #divergence records + #stuck overlays. Zero means every faulty
   // circuit agrees with the (pre-phase) good circuit here, which lets the
   // faulty-view state lookup skip both overlay and record searches — the
-  // common case for the tens of millions of stateIn calls per run.
+  // common case for the tens of millions of stateIn calls per run. One
+  // extra trailing slot (index numNodes), always zero, is the condGate_ of
+  // every fault device, whose conduction never follows a node.
   std::vector<std::uint32_t> divCount_;
+  std::vector<std::uint32_t> stuckCount_;     // per node: nodeStuck_ size
+  std::vector<std::uint32_t> overrideCount_;  // per transistor: transOverride_ size
+  std::vector<std::uint32_t> condGate_;       // per transistor: gate, or numNodes
+  std::vector<std::uint8_t> isInput_;         // per node: Network::isInput
+  // Divergent channels: transistors that carry an override or whose gate
+  // diverges (chanDivergent_[t] != 0). Per node n, the divergent channel
+  // transistors of n are packed in the CSR slice
+  // [divChanOff_[n], divChanOff_[n] + divChanSize_[n]) of divChan_ (capacity
+  // = n's channel count); divChanSlot_[t] is t's slot at its source and
+  // drain (kNotListed when absent). collectTriggers walks only these lists,
+  // and conductionIn's fast path is exactly the undivergent case.
+  static constexpr std::uint32_t kNotListed = 0xffffffff;
+  std::vector<std::uint8_t> chanDivergent_;
+  std::vector<std::uint32_t> divChanOff_;
+  std::vector<std::uint32_t> divChanSize_;
+  std::vector<TransId> divChan_;
+  std::vector<std::array<std::uint32_t, 2>> divChanSlot_;
+  // Per node: stuck overlays on input nodes across a channel — the sources
+  // of collectTriggers' stuck-input-neighbour scan, which runs only when
+  // this is non-zero.
+  std::vector<std::uint32_t> stuckNbrCount_;
 
   // Good-circuit event queue (next phase).
   std::vector<NodeId> goodSeeds_;

@@ -11,6 +11,18 @@ namespace fmossim::serve {
 
 namespace {
 
+// A u32 workload field: values past 2^32 - 1 are refused, never truncated
+// (a silently wrapped count would run a different workload than asked).
+std::uint32_t u32Field(const JsonValue& v, const char* key,
+                       std::uint32_t fallback) {
+  const std::uint64_t x = v.u64Or(key, fallback);
+  if (x > 0xffffffffull) {
+    throw Error(std::string("workload: ") + key +
+                " out of range (max 4294967295)");
+  }
+  return static_cast<std::uint32_t>(x);
+}
+
 // Derives a fresh random test sequence over a generated circuit's data
 // inputs: pattern 0 (the generator's power-on/init pattern, which drives
 // Vdd/Gnd and every input to a known state) is kept verbatim, later patterns
@@ -106,9 +118,9 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
   } else if (kind == "gen" || kind == "seu") {
     spec.circuitSeed = seedFrom(v, "circuitSeed", 1);
     spec.seqSeed = seedFrom(v, "seqSeed", 0);
-    spec.numNodes = static_cast<std::uint32_t>(v.u64Or("nodes", 0));
-    spec.numInputs = static_cast<std::uint32_t>(v.u64Or("inputs", 0));
-    spec.numFaults = static_cast<std::uint32_t>(v.u64Or("faults", 0));
+    spec.numNodes = u32Field(v, "nodes", 0);
+    spec.numInputs = u32Field(v, "inputs", 0);
+    spec.numFaults = u32Field(v, "faults", 0);
     spec.numPatterns = v.u64Or("patterns", 0);
     spec.stream = v.boolOr("stream", false);
     if (spec.stream && spec.seqSeed != 0) {
@@ -119,13 +131,12 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
       throw Error("workload: more than 2^32 patterns requires stream=true");
     }
     if (kind == "seu") {
-      spec.seuInjections =
-          static_cast<std::uint32_t>(v.u64Or("seuInjections", 0));
+      spec.seuInjections = u32Field(v, "seuInjections", 0);
       if (spec.seuInjections == 0) {
         throw Error("workload: seu kind requires seuInjections >= 1");
       }
       spec.seuSeed = seedFrom(v, "seuSeed", 1);
-      spec.seuInstants = static_cast<std::uint32_t>(v.u64Or("seuInstants", 0));
+      spec.seuInstants = u32Field(v, "seuInstants", 0);
       if (spec.stream) {
         throw Error("workload: seu is incompatible with stream (campaign "
                     "grading needs a materialized sequence)");
@@ -139,9 +150,9 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
     throw Error("workload: unknown kind '" + kind +
                 "' (want gen, seu or inline)");
   }
-  spec.jobs = static_cast<unsigned>(v.u64Or("jobs", 2));
+  spec.jobs = u32Field(v, "jobs", 2);
   if (spec.jobs == 0) throw Error("workload: jobs must be >= 1");
-  spec.laneWidth = static_cast<std::uint32_t>(v.u64Or("laneWidth", 1));
+  spec.laneWidth = u32Field(v, "laneWidth", 1);
   if (spec.laneWidth < 1 || spec.laneWidth > 32 ||
       (spec.laneWidth & (spec.laneWidth - 1)) != 0) {
     throw Error("workload: laneWidth must be a power of two in [1, 32]");

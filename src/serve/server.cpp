@@ -16,22 +16,41 @@ namespace {
 /// Thrown from the per-pattern cancellation point to unwind a cancelled run.
 struct CancelledRun {};
 
-/// Nearest-rank percentile over an unsorted sample (copies + sorts; the
-/// sample is the capped latency buffer, so this is cheap).
-double percentileMs(std::vector<double> sample, double p) {
-  if (sample.empty()) return 0.0;
-  std::sort(sample.begin(), sample.end());
-  const double rank = p / 100.0 * static_cast<double>(sample.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sample.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return (sample[lo] * (1.0 - frac) + sample[hi] * frac) * 1000.0;
+}  // namespace
+
+void LatencyHistogram::record(double seconds) {
+  std::size_t i = 0;
+  if (seconds >= kFloorSeconds) {
+    const double k = std::floor(std::log2(seconds / kFloorSeconds) * kPerOctave);
+    i = 1 + static_cast<std::size_t>(
+                std::min(k, static_cast<double>(buckets_.size() - 2)));
+  }
+  ++buckets_[i];
+  ++count_;
 }
 
-/// Latency samples kept for the percentile report.
-constexpr std::size_t kMaxLatencySamples = 4096;
-
-}  // namespace
+double LatencyHistogram::percentileMs(double p) const {
+  if (count_ == 0) return 0.0;
+  const double clamped = std::clamp(p, 0.0, 100.0);
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(clamped / 100.0 * static_cast<double>(count_))));
+  std::uint64_t seen = 0;
+  std::size_t i = 0;
+  for (; i < buckets_.size(); ++i) {
+    seen += buckets_[i];
+    if (seen >= rank) break;
+  }
+  if (i == 0) return kFloorSeconds * 1000.0 / 2.0;
+  // Bucket i >= 1 spans [floor * 2^((i-1)/16), floor * 2^(i/16)); the
+  // overflow bucket reports its lower bound.
+  const double lower =
+      kFloorSeconds * std::exp2(static_cast<double>(i - 1) / kPerOctave);
+  const double mid = i == buckets_.size() - 1
+                         ? lower
+                         : lower * std::exp2(0.5 / kPerOctave);
+  return mid * 1000.0;
+}
 
 JsonValue ServerStats::toJson() const {
   JsonValue o = JsonValue::makeObject();
@@ -45,6 +64,7 @@ JsonValue ServerStats::toJson() const {
   o.set("p50Ms", JsonValue::makeNumber(p50Ms));
   o.set("p95Ms", JsonValue::makeNumber(p95Ms));
   o.set("p99Ms", JsonValue::makeNumber(p99Ms));
+  o.set("latencySamples", JsonValue::makeU64(latencySamples));
   o.set("queueDepth", JsonValue::makeU64(queueDepth));
   o.set("running", JsonValue::makeU64(running));
   o.set("workers", JsonValue::makeU64(workers));
@@ -200,7 +220,7 @@ void Server::recordLatency(double seconds, JobStatus status) {
   switch (status) {
     case JobStatus::Done:
       ++completed_;
-      if (latencies_.size() < kMaxLatencySamples) latencies_.push_back(seconds);
+      latencies_.record(seconds);
       break;
     case JobStatus::Failed:
       ++failed_;
@@ -218,7 +238,7 @@ ServerStats Server::stats() const {
   s.uptimeSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - startTime_)
                         .count();
-  std::vector<double> sample;
+  LatencyHistogram latencies;
   {
     std::lock_guard<std::mutex> lock(statsMu_);
     s.submitted = submitted_;
@@ -226,14 +246,15 @@ ServerStats Server::stats() const {
     s.completed = completed_;
     s.failed = failed_;
     s.cancelled = cancelled_;
-    sample = latencies_;
+    latencies = latencies_;
   }
   if (s.uptimeSeconds > 0.0) {
     s.requestsPerSec = static_cast<double>(s.completed) / s.uptimeSeconds;
   }
-  s.p50Ms = percentileMs(sample, 50.0);
-  s.p95Ms = percentileMs(sample, 95.0);
-  s.p99Ms = percentileMs(sample, 99.0);
+  s.p50Ms = latencies.percentileMs(50.0);
+  s.p95Ms = latencies.percentileMs(95.0);
+  s.p99Ms = latencies.percentileMs(99.0);
+  s.latencySamples = latencies.count();
   s.queueDepth = queue_.depth();
   s.running = queue_.runningCount();
   s.workers = std::min(std::max(1u, options_.workers),

@@ -16,6 +16,7 @@
 // and the loadgen harness writes into BENCH_serve_mixed.json.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -42,6 +43,29 @@ struct ServerOptions {
   std::size_t storeEntries = 64;
 };
 
+/// Fixed-bucket latency histogram for the daemon's percentile report:
+/// O(1) record and constant memory however long the daemon runs, so the
+/// percentiles keep tracking the whole history. Buckets are log-spaced, 16
+/// per octave from 1 us up to ~4295 s (one underflow and one overflow
+/// bucket at the ends); a percentile is reported as the geometric midpoint
+/// of the bucket holding its nearest rank, within ~2.2% of the true value.
+class LatencyHistogram {
+ public:
+  void record(double seconds);
+  /// Samples recorded so far.
+  std::uint64_t count() const { return count_; }
+  /// Nearest-rank p-th percentile in milliseconds; 0 when empty.
+  double percentileMs(double p) const;
+
+ private:
+  static constexpr std::uint32_t kPerOctave = 16;
+  static constexpr std::uint32_t kOctaves = 32;
+  static constexpr double kFloorSeconds = 1e-6;
+  /// [0] underflow (< 1 us), [1 + k] the k-th log bucket, last overflow.
+  std::array<std::uint64_t, kPerOctave * kOctaves + 2> buckets_{};
+  std::uint64_t count_ = 0;
+};
+
 /// One consistent snapshot of the service counters (the `stats` verb).
 struct ServerStats {
   double uptimeSeconds = 0.0;
@@ -54,6 +78,9 @@ struct ServerStats {
   double p50Ms = 0.0;  ///< median submit->done latency, milliseconds
   double p95Ms = 0.0;  ///< 95th-percentile latency
   double p99Ms = 0.0;  ///< 99th-percentile latency
+  /// Latencies in the percentile histogram: every Done job, so it equals
+  /// `completed`.
+  std::uint64_t latencySamples = 0;
   std::size_t queueDepth = 0;  ///< jobs waiting
   std::size_t running = 0;     ///< jobs executing
   std::uint32_t workers = 0;   ///< worker threads (post-clamp)
@@ -120,9 +147,8 @@ class Server {
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t cancelled_ = 0;
-  /// Completed-job latencies (seconds) for the percentile report; capped so
-  /// a long-lived daemon cannot grow without bound.
-  std::vector<double> latencies_;
+  /// Completed-job latencies for the percentile report.
+  LatencyHistogram latencies_;
 };
 
 }  // namespace fmossim::serve

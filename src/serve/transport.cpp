@@ -17,7 +17,10 @@ namespace {
 void writeAll(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    // send() with MSG_NOSIGNAL: a peer that hung up yields EPIPE here
+    // instead of a process-killing SIGPIPE.
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw Error(std::string("socket write failed: ") + std::strerror(errno));
@@ -26,25 +29,37 @@ void writeAll(int fd, const std::string& data) {
   }
 }
 
+enum class ReadStatus { Line, Closed, TooLong };
+
 /// Reads until `buffer` contains a '\n'; returns the line without it (the
-/// leftover stays in the buffer). False means orderly EOF before a line.
-bool readLine(int fd, std::string& buffer, std::string& line) {
+/// leftover stays in the buffer). Closed means EOF or a torn-down
+/// connection before a line; TooLong means the line exceeds kMaxLineBytes
+/// (the buffer then holds at most kMaxLineBytes + one read chunk).
+ReadStatus readLine(int fd, std::string& buffer, std::string& line) {
+  std::size_t scanned = 0;  // bytes of buffer known to hold no newline
   for (;;) {
-    const std::size_t pos = buffer.find('\n');
+    const std::size_t pos = buffer.find('\n', scanned);
     if (pos != std::string::npos) {
+      if (pos > kMaxLineBytes) return ReadStatus::TooLong;
       line.assign(buffer, 0, pos);
       buffer.erase(0, pos + 1);
-      return true;
+      return ReadStatus::Line;
     }
+    if (buffer.size() > kMaxLineBytes) return ReadStatus::TooLong;
+    scanned = buffer.size();
     char chunk[4096];
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;  // connection torn down (e.g. stop() closed the fd)
+      return ReadStatus::Closed;  // torn down (e.g. stop() closed the fd)
     }
-    if (n == 0) return false;
+    if (n == 0) return ReadStatus::Closed;
     buffer.append(chunk, static_cast<std::size_t>(n));
   }
+}
+
+std::string lineTooLongMessage() {
+  return "line exceeds " + std::to_string(kMaxLineBytes) + " bytes";
 }
 
 sockaddr_un socketAddress(const std::string& path) {
@@ -122,7 +137,23 @@ void SocketServer::acceptLoop() {
 void SocketServer::serveConnection(int fd) {
   std::string buffer;
   std::string line;
-  while (readLine(fd, buffer, line)) {
+  for (;;) {
+    const ReadStatus status = readLine(fd, buffer, line);
+    if (status == ReadStatus::Closed) break;
+    if (status == ReadStatus::TooLong) {
+      // One error line, then hang up: the rest of the oversized line would
+      // have to be read and discarded, which is exactly the unbounded work
+      // the cap exists to refuse.
+      JsonValue err = JsonValue::makeObject();
+      err.set("ok", JsonValue::makeBool(false));
+      err.set("error", JsonValue::makeString("request " + lineTooLongMessage()));
+      try {
+        writeAll(fd, err.dump() + "\n");
+      } catch (const Error&) {
+        // The peer is already gone; hanging up is all that is left.
+      }
+      break;
+    }
     if (line.empty()) continue;  // tolerate blank keep-alive lines
     std::string response;
     try {
@@ -207,10 +238,15 @@ SocketClient::~SocketClient() {
 std::string SocketClient::roundTrip(const std::string& line) {
   writeAll(fd_, line + "\n");
   std::string response;
-  if (!readLine(fd_, buffer_, response)) {
-    throw Error("server closed the connection");
+  switch (readLine(fd_, buffer_, response)) {
+    case ReadStatus::Line:
+      return response;
+    case ReadStatus::TooLong:
+      throw Error("response " + lineTooLongMessage());
+    case ReadStatus::Closed:
+      break;
   }
-  return response;
+  throw Error("server closed the connection");
 }
 
 JsonValue SocketClient::request(const JsonValue& req) {

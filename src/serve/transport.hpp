@@ -14,6 +14,7 @@
 // small.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,6 +25,12 @@
 #include "serve/server.hpp"
 
 namespace fmossim::serve {
+
+/// Longest line either end accepts, newline excluded (16 MiB — far above
+/// the largest legitimate request, an inline netlist). A peer that sends a
+/// longer line gets one error response and the connection is closed, so a
+/// hostile client cannot make the daemon buffer without bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
 
 /// The daemon's socket front end; see the file comment.
 class SocketServer {

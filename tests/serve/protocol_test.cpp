@@ -226,5 +226,37 @@ TEST(JobResultTest, RoundTripsThroughJson) {
   EXPECT_TRUE(back.error.empty());
 }
 
+TEST(WorkloadSpecTest, RejectsU32FieldsPastTheirRangeInsteadOfTruncating) {
+  // 2^32 + 16 would truncate to a plausible 16 under a plain cast.
+  const std::uint64_t wrapped = 0x100000010ull;
+  const auto parseWith = [](const std::string& kind, const std::string& key,
+                            std::uint64_t value) {
+    JsonValue v = JsonValue::makeObject();
+    v.set("kind", JsonValue::makeString(kind));
+    if (kind == "seu") v.set("seuInjections", JsonValue::makeU64(4));
+    v.set(key, JsonValue::makeU64(value));
+    return WorkloadSpec::fromJson(v);
+  };
+  const std::pair<const char*, const char*> fields[] = {
+      {"gen", "nodes"},         {"gen", "inputs"},     {"gen", "faults"},
+      {"gen", "laneWidth"},     {"gen", "jobs"},       {"seu", "seuInjections"},
+      {"seu", "seuInstants"}};
+  for (const auto& [kind, key] : fields) {
+    SCOPED_TRACE(key);
+    try {
+      parseWith(kind, key, wrapped);
+      ADD_FAILURE() << "out-of-range " << key << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  }
+  // In-range values still parse, the u32 maximum included.
+  EXPECT_EQ(parseWith("gen", "nodes", 0xffffffffull).numNodes, 0xffffffffu);
+  EXPECT_EQ(parseWith("gen", "laneWidth", 16).laneWidth, 16u);
+  EXPECT_EQ(parseWith("seu", "seuInstants", 3).seuInstants, 3u);
+}
+
 }  // namespace
 }  // namespace fmossim::serve

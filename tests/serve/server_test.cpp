@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
+
+#include <cstdio>
 
 #include <string>
 #include <thread>
@@ -252,6 +256,124 @@ TEST(ServerTest, ShutdownVerbStopsAcceptingWork) {
       JsonValue::parse(server.handleLine(submitRequest(1).dump()));
   EXPECT_FALSE(refused.boolOr("ok", true));
   server.stop();
+}
+
+TEST(LatencyHistogramTest, PercentilesTrackEverySample) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.percentileMs(50.0), 0.0);
+  for (int i = 0; i < 5000; ++i) h.record(0.001);
+  EXPECT_NEAR(h.percentileMs(50.0), 1.0, 0.03);
+  EXPECT_NEAR(h.percentileMs(99.0), 1.0, 0.03);
+  // Well past 4096 samples the report still follows new completions.
+  for (int i = 0; i < 20000; ++i) h.record(0.1);
+  EXPECT_EQ(h.count(), 25000u);
+  EXPECT_NEAR(h.percentileMs(10.0), 1.0, 0.03);
+  EXPECT_NEAR(h.percentileMs(50.0), 100.0, 3.0);
+  EXPECT_NEAR(h.percentileMs(99.0), 100.0, 3.0);
+  // Out-of-range samples land in the end buckets, not out of bounds.
+  h.record(0.0);
+  h.record(1e9);
+  EXPECT_EQ(h.count(), 25002u);
+  EXPECT_LE(h.percentileMs(0.0), 0.001);
+  EXPECT_GT(h.percentileMs(100.0), 1e6);
+}
+
+JsonValue tinySubmitRequest() {
+  WorkloadSpec spec;
+  spec.circuitSeed = 3;
+  spec.numNodes = 6;
+  spec.numInputs = 2;
+  spec.numFaults = 2;
+  spec.numPatterns = 2;
+  spec.jobs = 1;
+  JsonValue req = JsonValue::makeObject();
+  req.set("verb", JsonValue::makeString("submit"));
+  req.set("workload", spec.toJson());
+  return req;
+}
+
+/// Submits `burst` jobs back to back, then waits for all of them.
+void runBurst(Server& server, int burst) {
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < burst; ++i) {
+    const JsonValue submitted =
+        JsonValue::parse(server.handleLine(tinySubmitRequest().dump()));
+    ASSERT_TRUE(submitted.boolOr("ok", false));
+    ids.push_back(submitted.u64Or("id", 0));
+  }
+  for (const std::uint64_t id : ids) {
+    JsonValue resultReq = JsonValue::makeObject();
+    resultReq.set("verb", JsonValue::makeString("result"));
+    resultReq.set("id", JsonValue::makeU64(id));
+    ASSERT_EQ(JsonValue::parse(server.handleLine(resultReq.dump()))
+                  .stringOr("status", ""),
+              "done");
+  }
+}
+
+TEST(ServerTest, LatencyStatsKeepMovingPastFourThousandCompletions) {
+  Server server{ServerOptions{}};
+  server.start();
+  // One job at a time: each latency is one job's run time.
+  for (int i = 0; i < 4200; ++i) runBurst(server, 1);
+  const ServerStats before = server.stats();
+  EXPECT_EQ(before.completed, 4200u);
+  EXPECT_EQ(before.latencySamples, before.completed);
+  // Bursts queue behind each other, so their later jobs wait many job
+  // times; with >1% of all samples from bursts, p99 must rise.
+  for (int b = 0; b < 12; ++b) runBurst(server, 48);
+  const ServerStats after = server.stats();
+  EXPECT_EQ(after.completed, 4200u + 12u * 48u);
+  EXPECT_EQ(after.latencySamples, after.completed);
+  EXPECT_GT(after.p99Ms, before.p99Ms);
+  EXPECT_LE(after.p50Ms, after.p95Ms);
+  EXPECT_LE(after.p95Ms, after.p99Ms);
+  server.stop();
+}
+
+TEST(SocketTransportTest, OversizedRequestLineGetsAnErrorAndHangup) {
+  const std::string path =
+      "/tmp/fmossim-servertest-long-" + std::to_string(getpid()) + ".sock";
+  Server server{ServerOptions{}};
+  server.start();
+  SocketServer socket(server, path);
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+            0);
+  // One byte past the cap and no newline: the daemon must stop buffering.
+  const std::string big(kMaxLineBytes + 1, 'x');
+  std::size_t off = 0;
+  while (off < big.size()) {
+    const ssize_t n = ::send(fd, big.data() + off, big.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) break;  // the daemon hung up after its error line
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(reply.back(), '\n');
+  const JsonValue err = JsonValue::parse(reply.substr(0, reply.size() - 1));
+  EXPECT_FALSE(err.boolOr("ok", true));
+  EXPECT_NE(err.stringOr("error", "").find("exceeds"), std::string::npos);
+
+  // The daemon keeps serving other connections.
+  SocketClient client(path);
+  JsonValue statsReq = JsonValue::makeObject();
+  statsReq.set("verb", JsonValue::makeString("stats"));
+  EXPECT_TRUE(client.request(statsReq).boolOr("ok", false));
+  server.stop();
+  socket.stop();
 }
 
 TEST(SocketTransportTest, FullRoundTripOverUnixSocket) {
