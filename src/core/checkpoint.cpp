@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <list>
@@ -151,6 +152,11 @@ struct GoodMachineCheckpoint::SpillState {
     blockOff.push_back(0);
   }
 
+  /// Throws for a failed spill call, naming the errno it left.
+  [[noreturn]] static void ioFailed(const char* what) {
+    throw Error(std::string(what) + ": " + std::strerror(errno));
+  }
+
   void appendBlock(const std::string& encoded, std::uint32_t settleCount) {
     const std::uint64_t off = blockOff.back();
     std::size_t done = 0;
@@ -158,7 +164,8 @@ struct GoodMachineCheckpoint::SpillState {
       const ssize_t n = ::pwrite(fd, encoded.data() + done,
                                  encoded.size() - done,
                                  static_cast<off_t>(off + done));
-      if (n < 0) throw Error("checkpoint spill write failed");
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) ioFailed("checkpoint spill write failed");
       done += static_cast<std::size_t>(n);
     }
     blockOff.push_back(off + encoded.size());
@@ -175,7 +182,11 @@ struct GoodMachineCheckpoint::SpillState {
     while (done < size) {
       const ssize_t n = ::pread(fd, buf.data() + done, size - done,
                                 static_cast<off_t>(off + done));
-      if (n <= 0) throw Error("checkpoint spill read failed");
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) ioFailed("checkpoint spill read failed");
+      if (n == 0) {
+        throw Error("checkpoint spill read failed: unexpected end of file");
+      }
       done += static_cast<std::size_t>(n);
     }
   }

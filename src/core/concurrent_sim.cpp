@@ -16,45 +16,60 @@ struct GoodCircuitView {
   bool isInputNode(NodeId n) const { return s->net_.isInput(n); }
 };
 
-/// CircuitView over one faulty circuit: stuck nodes first, divergence
-/// records next, pre-phase good values for nodes the good circuit changed
-/// this phase, the live good state last. Conduction is derived from gate
-/// states through the same pre-phase lens, except where statically
-/// overridden by the circuit's fault.
+/// CircuitView over one faulty circuit under the pre-phase lens: its fault
+/// site first, then its divergence records, then the good circuit's
+/// pre-phase state (pre-phase good values for nodes the good circuit changed
+/// this phase, the live good state otherwise). Conduction is derived from
+/// gate states through the same lens, except where overridden by the
+/// circuit's fault. The one implementation of a faulty circuit's state:
+/// stateIn/conductionIn and the lane path's reads go through it too.
 struct FaultyCircuitView {
   const ConcurrentFaultSimulator* s;
   CircuitId c;
-  State nodeState(NodeId n) const { return s->stateIn(n, c); }
-  State conduction(TransId t) const { return s->conductionIn(t, c); }
+  std::uint32_t group;  ///< c's lane group (the state table's miss filter)
+  ConcurrentFaultSimulator::FaultSite site;
+
+  FaultyCircuitView(const ConcurrentFaultSimulator* sim, CircuitId circuit)
+      : s(sim), c(circuit), group(lanes::groupOf(circuit)),
+        site(sim->site_[circuit]) {}
+
+  State nodeState(NodeId n) const {
+    if (n.value == site.node) return site.value;
+    if (!s->table_.mayDiverge(n, group)) return s->preGood(n);
+    return s->recordedStateIn(n, c);
+  }
+  State conduction(TransId t) const {
+    // No override anywhere and an undivergent gate: one stamped array read.
+    if (s->chanDivergent_[t.value] == 0) return s->preGoodConduction(t);
+    if (t.value == site.trans) return site.value;
+    const std::uint32_t g = s->condGate_[t.value];
+    if (g == site.node) {
+      return conductionState(s->net_.transistor(t).type, site.value);
+    }
+    // A fault device (gate slot numNodes), or a gate where no circuit of
+    // c's lane group diverges, conducts as in the pre-phase good circuit.
+    if (g == s->net_.numNodes() || !s->table_.mayDiverge(NodeId(g), group)) {
+      return s->preGoodConduction(t);
+    }
+    return conductionState(s->net_.transistor(t).type,
+                           s->recordedStateIn(NodeId(g), c));
+  }
   bool isInputNode(NodeId n) const {
-    // A stuck overlay implies divCount_ > 0, so the guard the state lookup
-    // of the same node reads also skips the overlay search here.
-    return s->isInput_[n.value] != 0 ||
-           (s->divCount_[n.value] != 0 && s->isStuckNode(n, c));
+    return s->isInput_[n.value] != 0 || n.value == site.node;
   }
 };
 
-State ConcurrentFaultSimulator::divergedStateIn(NodeId n, CircuitId c) const {
-  if (stuckCount_[n.value] != 0) {
-    if (const Override* o = findOverride(nodeStuck_[n.value], c)) {
-      return o->value;
-    }
-  }
+State ConcurrentFaultSimulator::recordedStateIn(NodeId n, CircuitId c) const {
   const StateTable::Lookup r = table_.lookup(n, c);
-  if (r.diverges) return r.value;
-  return preGood(n);
+  return r.diverges ? r.value : preGood(n);
 }
 
-State ConcurrentFaultSimulator::divergedConductionIn(TransId t,
-                                                     CircuitId c) const {
-  if (overrideCount_[t.value] != 0) {
-    if (const Override* o = findOverride(transOverride_[t.value], c)) {
-      return o->value;
-    }
-  }
-  const auto& tr = net_.transistor(t);
-  if (tr.isFaultDevice()) return *tr.goodConduction;
-  return conductionState(tr.type, stateIn(tr.gate, c));
+State ConcurrentFaultSimulator::stateIn(NodeId n, CircuitId c) const {
+  return FaultyCircuitView(this, c).nodeState(n);
+}
+
+State ConcurrentFaultSimulator::conductionIn(TransId t, CircuitId c) const {
+  return FaultyCircuitView(this, c).conduction(t);
 }
 
 ConcurrentFaultSimulator::ConcurrentFaultSimulator(
@@ -91,19 +106,18 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
       condOldStamp_(net.numTransistors(), 0),
       nodeStuck_(net.numNodes()),
       transOverride_(net.numTransistors()),
+      site_(numMachines + 1),
       alive_(numMachines + 1, 0),
       detectedAt_(numMachines, -1),
       touched_(numMachines + 1),
       touchedCap_(numMachines + 1, 16),
       watchCount_(net.numNodes(), 0),
       divCount_(net.numNodes() + 1, 0),
-      stuckCount_(net.numNodes(), 0),
-      overrideCount_(net.numTransistors(), 0),
       condGate_(net.numTransistors(), net.numNodes()),
       isInput_(net.numNodes(), 0),
+      chanDivergent_(net.numTransistors(), 0),
       divChanOff_(net.numNodes() + 1, 0),
       divChanSize_(net.numNodes(), 0),
-      chanDivergent_(net.numTransistors(), 0),
       divChanSlot_(net.numTransistors(), {kNotListed, kNotListed}),
       stuckNbrCount_(net.numNodes(), 0),
       goodSeedStamp_(net.numNodes(), 0),
@@ -212,8 +226,7 @@ void ConcurrentFaultSimulator::inject() {
     ++aliveCount_;
     switch (f.kind) {
       case FaultKind::NodeStuck: {
-        nodeStuck_[f.node.value].push_back({c, f.value});  // ascending c
-        addStuckWatch(f.node, +1);
+        addOverlay(c, {f.node.value, kNoSite, f.value});
         scheduleFaulty(c, f.node);
         for (const TransId t : net_.node(f.node).gateOf) {
           const auto& tr = net_.transistor(t);
@@ -224,8 +237,7 @@ void ConcurrentFaultSimulator::inject() {
       }
       case FaultKind::TransistorStuck:
       case FaultKind::FaultDevice: {
-        transOverride_[f.transistor.value].push_back({c, f.value});
-        addTransWatch(f.transistor, +1);
+        addOverlay(c, {kNoSite, f.transistor.value, f.value});
         const auto& tr = net_.transistor(f.transistor);
         scheduleFaulty(c, tr.source);
         scheduleFaulty(c, tr.drain);
@@ -345,7 +357,6 @@ SettleResult ConcurrentFaultSimulator::settleAll() {
 
 void ConcurrentFaultSimulator::runPhase(bool coerce) {
   ++phaseEpoch_;
-  memoReset();
   curGoodSeeds_.swap(goodSeeds_);
   goodSeeds_.clear();
   curCircuits_.swap(activeCircuits_);
@@ -389,7 +400,7 @@ void ConcurrentFaultSimulator::processGoodPhase(bool coerce) {
   const GoodCircuitView view{this};
   for (const NodeId seed : curGoodSeeds_) {
     if (!vicBuilder_.grow(view, seed, vic_)) continue;
-    solveMemoized(vic_, newStates_);
+    solver_.solve(vic_, newStates_);
     for (std::size_t i = 0; i < vic_.size(); ++i) {
       if (newStates_[i] != vic_.memberCharge[i]) {
         goodChanges_.emplace_back(vic_.members[i], newStates_[i]);
@@ -533,13 +544,13 @@ void ConcurrentFaultSimulator::replayGoodPhase() {
 
 
 void ConcurrentFaultSimulator::processFaultyCircuit(CircuitId c, bool coerce) {
-  const FaultyCircuitView view{this, c};
+  const FaultyCircuitView view(this, c);
   vicBuilder_.newGeneration();
   faultyResults_.clear();
   faultyChanges_.clear();
   for (const NodeId seed : curFaultySeeds_[c]) {
     if (!vicBuilder_.grow(view, seed, vic_)) continue;
-    solveMemoized(vic_, newStates_);
+    solver_.solve(vic_, newStates_);
     for (std::size_t i = 0; i < vic_.size(); ++i) {
       const NodeId n = vic_.members[i];
       const State pre = vic_.memberCharge[i];
@@ -614,7 +625,7 @@ State ConcurrentFaultSimulator::logNodeRead(NodeId n) {
   // lanes whose state equals the leader's observed value, recordless lanes
   // reading the pre-phase good lens.
   if (divCount_[n.value] != 0) {
-    if (stuckCount_[n.value] != 0) {
+    if (!nodeStuck_[n.value].empty()) {
       if (isStuckNode(n, leaderCircuit_)) {
         liveCandMask_ = 0;  // boundary shaped by the leader's own fault
         return v;
@@ -636,7 +647,7 @@ State ConcurrentFaultSimulator::logTransRead(TransId t) {
   if (liveCandMask_ == 0) return conductionIn(t, leaderCircuit_);
   if (readTransStamp_[t.value] != readGen_) {
     readTransStamp_[t.value] = readGen_;
-    if (overrideCount_[t.value] != 0) {
+    if (!transOverride_[t.value].empty()) {
       if (hasOverride(t, leaderCircuit_)) {
         liveCandMask_ = 0;  // conduction shaped by the leader's own fault
         return conductionIn(t, leaderCircuit_);
@@ -790,14 +801,13 @@ std::uint32_t ConcurrentFaultSimulator::processLaneLeader(
   laneGroup_ = group;
   liveCandMask_ = candMask;
   const std::uint64_t solverEvals0 = solver_.nodeEvals();
-  const std::uint64_t memoEvals0 = memoReplayedEvals_;
   const LaneLeaderView view{this, c};
   vicBuilder_.newGeneration();
   faultyResults_.clear();
   faultyChanges_.clear();
   for (const NodeId seed : curFaultySeeds_[c]) {
     if (!vicBuilder_.grow(view, seed, vic_)) continue;
-    solveMemoized(vic_, newStates_);
+    solver_.solve(vic_, newStates_);
     for (std::size_t i = 0; i < vic_.size(); ++i) {
       const NodeId n = vic_.members[i];
       const State pre = vic_.memberCharge[i];
@@ -892,14 +902,11 @@ std::uint32_t ConcurrentFaultSimulator::processLaneLeader(
       static_cast<std::uint32_t>(std::popcount(candMask));
   if (nShared != 0) {
     // Each sharing mate, processed alone, would have grown identical
-    // vicinities and spent exactly the leader's member evaluations (whether
-    // solver-computed or memo-replayed), so credit that work: nodeEvals()
-    // stays invariant across lane widths, keeping per-pattern rows and
-    // checksummed work counts bit-identical to scalar runs.
-    const std::uint64_t solverDelta = solver_.nodeEvals() - solverEvals0;
-    const std::uint64_t memoDelta = memoReplayedEvals_ - memoEvals0;
-    solver_.creditLanes(solverDelta * nShared);
-    memoReplayedEvals_ += memoDelta * nShared;
+    // vicinities and spent exactly the leader's member evaluations, so
+    // credit that work: nodeEvals() stays invariant across lane widths,
+    // keeping per-pattern rows and checksummed work counts bit-identical to
+    // scalar runs.
+    solver_.creditLanes((solver_.nodeEvals() - solverEvals0) * nShared);
   }
   return candMask;
 }
@@ -962,46 +969,42 @@ void ConcurrentFaultSimulator::dropCircuit(CircuitId c) {
   removeOverlay(c);
 }
 
-void ConcurrentFaultSimulator::removeOverlay(CircuitId c) {
-  // A dropped circuit's static overlays would otherwise be scanned by every
-  // future trigger collection and faulty-view lookup; removing them is what
-  // makes the paper's falling per-pattern cost curve steep. The fault tells
-  // us exactly where the overlays live.
-  if (transientMode_) {
-    // The only overlay a transient machine can hold is its active pulse.
-    TransientMachine& m = transient_[c - 1];
-    if (m.pulseActive) {
-      m.pulseActive = false;
-      auto& v = nodeStuck_[m.node.value];
-      for (auto it = v.begin(); it != v.end(); ++it) {
-        if (it->circuit == c) {
-          v.erase(it);
-          break;
-        }
-      }
-      addStuckWatch(m.node, -1);
-    }
-    return;
-  }
-  const Fault& f = faults_[c - 1];
-  const auto removeFrom = [c](std::vector<Override>& v) {
-    for (auto it = v.begin(); it != v.end(); ++it) {
-      if (it->circuit == c) {
-        v.erase(it);
-        return;
-      }
-    }
+void ConcurrentFaultSimulator::addOverlay(CircuitId c, FaultSite site) {
+  FMOSSIM_ASSERT(site_[c] == FaultSite{},
+                 "a faulty circuit carries at most one fault overlay");
+  site_[c] = site;
+  const Override o{c, site.value};
+  const auto insertSorted = [&o](std::vector<Override>& v) {
+    v.insert(std::upper_bound(v.begin(), v.end(), o,
+                              [](const Override& a, const Override& b) {
+                                return a.circuit < b.circuit;
+                              }),
+             o);
   };
-  switch (f.kind) {
-    case FaultKind::NodeStuck:
-      removeFrom(nodeStuck_[f.node.value]);
-      addStuckWatch(f.node, -1);
-      break;
-    case FaultKind::TransistorStuck:
-    case FaultKind::FaultDevice:
-      removeFrom(transOverride_[f.transistor.value]);
-      addTransWatch(f.transistor, -1);
-      break;
+  if (site.node != kNoSite) {
+    insertSorted(nodeStuck_[site.node]);
+    addStuckWatch(NodeId(site.node), +1);
+  } else {
+    insertSorted(transOverride_[site.trans]);
+    addTransWatch(TransId(site.trans), +1);
+  }
+}
+
+void ConcurrentFaultSimulator::removeOverlay(CircuitId c) {
+  // A dropped circuit's overlay would otherwise be scanned by every future
+  // trigger collection; removing it is what makes the paper's falling
+  // per-pattern cost curve steep. The site says exactly where it lives.
+  const FaultSite site = site_[c];
+  site_[c] = {};
+  const auto eraseFrom = [c](std::vector<Override>& v) {
+    std::erase_if(v, [c](const Override& o) { return o.circuit == c; });
+  };
+  if (site.node != kNoSite) {
+    eraseFrom(nodeStuck_[site.node]);
+    addStuckWatch(NodeId(site.node), -1);
+  } else if (site.trans != kNoSite) {
+    eraseFrom(transOverride_[site.trans]);
+    addTransWatch(TransId(site.trans), -1);
   }
 }
 
@@ -1024,7 +1027,6 @@ void ConcurrentFaultSimulator::addRecordWatch(NodeId m, std::int32_t delta) {
 }
 
 void ConcurrentFaultSimulator::addStuckWatch(NodeId n, std::int32_t delta) {
-  stuckCount_[n.value] += static_cast<std::uint32_t>(delta);
   // A stuck overlay influences the same member/gate scans as a record...
   addRecordWatch(n, delta);
   if (isInput_[n.value] != 0) {  // ...plus the stuck-input-neighbour scan
@@ -1040,13 +1042,12 @@ void ConcurrentFaultSimulator::addTransWatch(TransId t, std::int32_t delta) {
   const auto& tr = net_.transistor(t);  // channel-override scan
   watchCount_[tr.source.value] += static_cast<std::uint32_t>(delta);
   watchCount_[tr.drain.value] += static_cast<std::uint32_t>(delta);
-  overrideCount_[t.value] += static_cast<std::uint32_t>(delta);
   refreshDivergentChannel(t);
 }
 
 void ConcurrentFaultSimulator::refreshDivergentChannel(TransId t) {
   const bool divergent =
-      overrideCount_[t.value] != 0 || divCount_[condGate_[t.value]] != 0;
+      !transOverride_[t.value].empty() || divCount_[condGate_[t.value]] != 0;
   if (divergent == (chanDivergent_[t.value] != 0)) return;
   chanDivergent_[t.value] = divergent ? 1 : 0;
   std::array<std::uint32_t, 2>& slots = divChanSlot_[t.value];
@@ -1078,8 +1079,6 @@ void ConcurrentFaultSimulator::checkIndexes() const {
   for (std::uint32_t n = 0; n < numNodes; ++n) {
     div[n] = table_.recordCountAt(NodeId(n)) +
              static_cast<std::uint32_t>(nodeStuck_[n].size());
-    FMOSSIM_ASSERT(stuckCount_[n] == nodeStuck_[n].size(),
-                   "stuck count out of step with the stuck overlays");
     FMOSSIM_ASSERT(isInput_[n] == (net_.isInput(NodeId(n)) ? 1 : 0),
                    "flat input flag out of step with the network");
   }
@@ -1099,20 +1098,18 @@ void ConcurrentFaultSimulator::checkIndexes() const {
     if (node.isInput) {
       for (const TransId t : node.channelOf) {
         const NodeId other = net_.transistor(t).otherEnd(NodeId(n));
-        watch[other.value] += stuckCount_[n];
-        stuckNbr[other.value] += stuckCount_[n];
+        watch[other.value] += nodeStuck_[n].size();
+        stuckNbr[other.value] += nodeStuck_[n].size();
       }
     }
   }
   for (std::uint32_t t = 0; t < numTrans; ++t) {
     const auto& tr = net_.transistor(TransId(t));
-    FMOSSIM_ASSERT(overrideCount_[t] == transOverride_[t].size(),
-                   "override count out of step with the overrides");
     FMOSSIM_ASSERT(
         condGate_[t] == (tr.isFaultDevice() ? numNodes : tr.gate.value),
                    "flat gate out of step with the network");
-    watch[tr.source.value] += overrideCount_[t];
-    watch[tr.drain.value] += overrideCount_[t];
+    watch[tr.source.value] += transOverride_[t].size();
+    watch[tr.drain.value] += transOverride_[t].size();
     // Listed at both ends exactly when it carries an override or its gate
     // diverges, at the slot its index says.
     const bool divergent =
@@ -1153,146 +1150,45 @@ void ConcurrentFaultSimulator::checkIndexes() const {
   for (std::uint32_t n = 0; n < numNodes; ++n) {
     FMOSSIM_ASSERT(divChanSize_[n] == listed[n],
                    "stale entry on a divergent-channel list");
+    // The lane-group miss filter holds exactly the groups with a block here.
+    std::uint64_t groups = 0;
+    table_.forEachRecord(NodeId(n), [&](CircuitId c, State) {
+      groups |= std::uint64_t{1} << (lanes::groupOf(c) % 64);
+    });
+    FMOSSIM_ASSERT(table_.groupMask(NodeId(n)) == groups,
+                   "lane-group mask out of step with the node's blocks");
   }
-}
-
-// --- per-phase vicinity-solution memo (see header for the rationale) -------
-
-namespace {
-
-inline void hashMix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
-
-}  // namespace
-
-std::uint64_t ConcurrentFaultSimulator::memoHash(const Vicinity& vic) {
-  std::uint64_t h = vic.members.size();
-  for (std::size_t i = 0; i < vic.members.size(); ++i) {
-    hashMix(h, (std::uint64_t(vic.members[i].value) << 2) |
-                   std::uint64_t(vic.memberCharge[i]));
-  }
-  for (const Vicinity::Edge& e : vic.edges) {
-    hashMix(h, (std::uint64_t(e.a) << 32) | (std::uint64_t(e.b) << 10) |
-                   (std::uint64_t(e.strength) << 1) | std::uint64_t(e.definite));
-  }
-  for (const Vicinity::InputEdge& ie : vic.inputEdges) {
-    hashMix(h, (std::uint64_t(ie.member) << 32) |
-                   (std::uint64_t(ie.strength) << 4) |
-                   (std::uint64_t(ie.value) << 1) | std::uint64_t(ie.definite));
-  }
-  return h;
-}
-
-void ConcurrentFaultSimulator::memoReset() {
-  memoEntries_.clear();
-  memoMembers_.clear();
-  memoCharges_.clear();
-  memoEdges_.clear();
-  memoInputs_.clear();
-  memoSolutions_.clear();
-  ++memoStamp_;
-  if (memoSlots_.empty()) {
-    memoSlots_.assign(1024, 0);
-    memoSlotStamp_.assign(1024, 0);
-  }
-}
-
-bool ConcurrentFaultSimulator::memoLookup(std::uint64_t hash,
-                                          const Vicinity& vic,
-                                          std::vector<State>& out) const {
-  const std::size_t mask = memoSlots_.size() - 1;
-  for (std::size_t i = hash & mask; memoSlotStamp_[i] == memoStamp_;
-       i = (i + 1) & mask) {
-    const MemoEntry& e = memoEntries_[memoSlots_[i] - 1];
-    if (e.hash != hash || e.memberCount != vic.members.size() ||
-        e.edgeCount != vic.edges.size() ||
-        e.inputCount != vic.inputEdges.size()) {
-      continue;
-    }
-    bool equal = true;
-    for (std::uint32_t k = 0; equal && k < e.memberCount; ++k) {
-      equal = memoMembers_[e.membersOff + k].value == vic.members[k].value &&
-              memoCharges_[e.membersOff + k] == vic.memberCharge[k];
-    }
-    for (std::uint32_t k = 0; equal && k < e.edgeCount; ++k) {
-      equal = memoEdges_[e.edgesOff + k] == vic.edges[k];
-    }
-    for (std::uint32_t k = 0; equal && k < e.inputCount; ++k) {
-      equal = memoInputs_[e.inputsOff + k] == vic.inputEdges[k];
-    }
-    if (equal) {
-      out.assign(memoSolutions_.begin() + e.solutionOff,
-                 memoSolutions_.begin() + e.solutionOff + e.memberCount);
-      return true;
+  // Each circuit's fault site, rebuilt from the node-major overlay lists:
+  // at most one overlay per circuit, and in transient mode only a pulse
+  // held at the machine's node.
+  std::vector<FaultSite> sites(numMachines_ + 1);
+  const auto place = [&](CircuitId c, FaultSite fs) {
+    FMOSSIM_ASSERT(sites[c] == FaultSite{},
+                   "faulty circuit carries more than one fault overlay");
+    sites[c] = fs;
+  };
+  for (std::uint32_t n = 0; n < numNodes; ++n) {
+    for (const Override& o : nodeStuck_[n]) {
+      place(o.circuit, {n, kNoSite, o.value});
     }
   }
-  return false;
-}
-
-void ConcurrentFaultSimulator::memoStore(std::uint64_t hash,
-                                         const Vicinity& vic,
-                                         const std::vector<State>& solution) {
-  MemoEntry e;
-  e.hash = hash;
-  e.membersOff = static_cast<std::uint32_t>(memoMembers_.size());
-  e.memberCount = static_cast<std::uint32_t>(vic.members.size());
-  e.edgesOff = static_cast<std::uint32_t>(memoEdges_.size());
-  e.edgeCount = static_cast<std::uint32_t>(vic.edges.size());
-  e.inputsOff = static_cast<std::uint32_t>(memoInputs_.size());
-  e.inputCount = static_cast<std::uint32_t>(vic.inputEdges.size());
-  e.solutionOff = static_cast<std::uint32_t>(memoSolutions_.size());
-  memoMembers_.insert(memoMembers_.end(), vic.members.begin(),
-                      vic.members.end());
-  memoCharges_.insert(memoCharges_.end(), vic.memberCharge.begin(),
-                      vic.memberCharge.end());
-  memoEdges_.insert(memoEdges_.end(), vic.edges.begin(), vic.edges.end());
-  memoInputs_.insert(memoInputs_.end(), vic.inputEdges.begin(),
-                     vic.inputEdges.end());
-  memoSolutions_.insert(memoSolutions_.end(), solution.begin(),
-                        solution.begin() + vic.members.size());
-  memoEntries_.push_back(e);
-
-  // Keep the open-addressing table at most half full; rebuild (rare) keeps
-  // probes short even in the injection phases where every circuit is active.
-  if (memoEntries_.size() * 2 > memoSlots_.size()) {
-    const std::size_t newSize = memoSlots_.size() * 2;
-    memoSlots_.assign(newSize, 0);
-    memoSlotStamp_.assign(newSize, 0);
-    const std::size_t mask = newSize - 1;
-    for (std::uint32_t idx = 0; idx < memoEntries_.size(); ++idx) {
-      std::size_t i = memoEntries_[idx].hash & mask;
-      while (memoSlotStamp_[i] == memoStamp_) i = (i + 1) & mask;
-      memoSlotStamp_[i] = memoStamp_;
-      memoSlots_[i] = idx + 1;
+  for (std::uint32_t t = 0; t < numTrans; ++t) {
+    for (const Override& o : transOverride_[t]) {
+      place(o.circuit, {kNoSite, t, o.value});
     }
-    return;
   }
-  const std::size_t mask = memoSlots_.size() - 1;
-  std::size_t i = hash & mask;
-  while (memoSlotStamp_[i] == memoStamp_) i = (i + 1) & mask;
-  memoSlotStamp_[i] = memoStamp_;
-  memoSlots_[i] =
-      static_cast<std::uint32_t>(memoEntries_.size());  // last entry, 1-based
-}
-
-void ConcurrentFaultSimulator::solveMemoized(const Vicinity& vic,
-                                             std::vector<State>& out) {
-  // Edge-free vicinities take the solver's direct path: it is already
-  // cheaper than a memo probe would be.
-  if (vic.edges.empty()) {
-    solver_.solve(vic, out);
-    return;
+  for (CircuitId c = 1; c <= numMachines_; ++c) {
+    if (transientMode_) {
+      // A transient machine's only overlay is its held pulse, at its node.
+      FMOSSIM_ASSERT(sites[c].trans == kNoSite &&
+                         (sites[c].node == kNoSite ||
+                          sites[c].node == transient_[c - 1].node.value),
+                     "transient overlay away from the machine's pulse node");
+    }
+    FMOSSIM_ASSERT(site_[c] == sites[c],
+                   "fault site out of step with the overlay lists");
   }
-  const std::uint64_t h = memoHash(vic);
-  ++memoProbes_;
-  if (memoLookup(h, vic, out)) {
-    ++memoHits_;
-    memoReplayedEvals_ += vic.members.size();
-    return;
-  }
-  solver_.solve(vic, out);
-  memoStore(h, vic, out);
+  FMOSSIM_ASSERT(site_[0] == FaultSite{}, "the good circuit has a fault site");
 }
 
 State ConcurrentFaultSimulator::faultyState(NodeId n, CircuitId c) const {
@@ -1613,41 +1509,26 @@ void ConcurrentFaultSimulator::injectTransientFlip(CircuitId c) {
   // node becomes input-like in circuit c until release). Held even when
   // flipped == good == X: the good circuit may move on while the struck
   // node stays pinned.
-  m.pulseActive = true;
-  m.forcedValue = flipped;
-  auto& v = nodeStuck_[m.node.value];
-  const auto it = std::lower_bound(
-      v.begin(), v.end(), c,
-      [](const Override& o, CircuitId cc) { return o.circuit < cc; });
-  v.insert(it, Override{c, flipped});
-  addStuckWatch(m.node, +1);
+  addOverlay(c, {m.node.value, kNoSite, flipped});
   scheduleTransientSite(c, m.node);
 }
 
 void ConcurrentFaultSimulator::releaseTransientPulse(CircuitId c) {
-  TransientMachine& m = transient_[c - 1];
-  FMOSSIM_ASSERT(m.pulseActive, "releaseTransientPulse without active pulse");
-  m.pulseActive = false;
-  auto& v = nodeStuck_[m.node.value];
-  for (auto it = v.begin(); it != v.end(); ++it) {
-    if (it->circuit == c) {
-      v.erase(it);
-      break;
-    }
-  }
-  addStuckWatch(m.node, -1);
+  FMOSSIM_ASSERT(pulseHeld(c), "releaseTransientPulse without active pulse");
+  const NodeId n = transient_[c - 1].node;
+  const State held = site_[c].value;
+  removeOverlay(c);
   // The held value stays behind as charge. A stuck node never carries a
   // record in its own circuit (it is input-like there), so reconciliation
   // inserts at most.
-  if (m.forcedValue != table_.good(m.node)) {
-    const StateTable::Reconciled rec =
-        table_.reconcile(m.node, c, m.forcedValue);
+  if (held != table_.good(n)) {
+    const StateTable::Reconciled rec = table_.reconcile(n, c, held);
     if (rec.inserted) {
-      touchedInsert(c, m.node);
-      addRecordWatch(m.node, +1);
+      touchedInsert(c, n);
+      addRecordWatch(n, +1);
     }
   }
-  scheduleTransientSite(c, m.node);
+  scheduleTransientSite(c, n);
 }
 
 SettleResult ConcurrentFaultSimulator::settleInPlace() {
@@ -1664,7 +1545,7 @@ bool ConcurrentFaultSimulator::hasDivergence(CircuitId c) const {
   FMOSSIM_ASSERT(transientMode_, "hasDivergence is a transient-mode query");
   FMOSSIM_ASSERT(c >= 1 && c <= numMachines_, "hasDivergence: bad circuit id");
   const TransientMachine& m = transient_[c - 1];
-  if (m.pulseActive && m.forcedValue != table_.good(m.node)) return true;
+  if (pulseHeld(c) && site_[c].value != table_.good(m.node)) return true;
   for (const NodeId n : touched_[c]) {
     const StateTable::Lookup r = table_.lookup(n, c);
     if (r.diverges && r.value != table_.good(n)) return true;
@@ -1711,7 +1592,7 @@ FaultSimResult ConcurrentFaultSimulator::runTransient(
           injectTransientFlip(c);
           perturbed = true;
         }
-      } else if (m.pulseActive && alive_[c] &&
+      } else if (pulseHeld(c) && alive_[c] &&
                  pi == m.atPattern + m.pulsePatterns) {
         releaseTransientPulse(c);
         perturbed = true;
@@ -1803,7 +1684,7 @@ FaultSimResult ConcurrentFaultSimulator::runTransientTail(
     bool perturbed = false;
     for (std::uint32_t i = 0; i < numMachines_; ++i) {
       TransientMachine& m = transient_[i];
-      if (m.pulseActive && alive_[i + 1] &&
+      if (pulseHeld(i + 1) && alive_[i + 1] &&
           patternIndex == m.atPattern + m.pulsePatterns) {
         releaseTransientPulse(i + 1);
         perturbed = true;

@@ -295,28 +295,22 @@ class ConcurrentFaultSimulator {
   std::uint64_t potentialDetections() const { return potentialDetections_; }
 
   /// Deterministic work counter: logical member-node evaluations across all
-  /// circuits. Memo-replayed solves count exactly like solver-computed ones
-  /// (they answer the same logical work), so the counter is invariant under
-  /// the per-phase solution memo and the paper's growth-shape claims remain
-  /// comparable across engine versions; wall-clock time is what the memo
-  /// improves.
-  std::uint64_t nodeEvals() const {
-    return solver_.nodeEvals() + memoReplayedEvals_;
-  }
+  /// circuits. Lane-shared results are credited as if each lane had been
+  /// solved alone, so the counter is invariant across lane widths and the
+  /// paper's growth-shape claims remain comparable across engine versions.
+  std::uint64_t nodeEvals() const { return solver_.nodeEvals(); }
   std::uint64_t phaseCount() const { return phases_; }
   std::uint64_t triggeredEvents() const { return triggeredEvents_; }
-  /// Per-phase vicinity-solution memo statistics (performance diagnostics):
-  /// solver invocations avoided, and total memo probes.
-  std::uint64_t memoHits() const { return memoHits_; }
-  std::uint64_t memoProbes() const { return memoProbes_; }
   std::uint64_t recordCount() const { return table_.totalRecords(); }
   std::uint32_t maxAliveObserved() const { return maxAliveObserved_; }
 
   /// Consistency check for tests: recomputes every incrementally maintained
-  /// lookup index (divergence, stuck, override and trigger-watch counts, the
-  /// divergent-channel lists and the stuck-input-neighbour counts) from the
-  /// overlay tables and the state table, and fails an FMOSSIM_ASSERT on the
-  /// first mismatch. O(network + records); call between patterns.
+  /// lookup index (divergence and trigger-watch counts, the
+  /// divergent-channel lists, the stuck-input-neighbour counts, each
+  /// circuit's fault site and each node's lane-group mask) from the overlay
+  /// tables, the active pulses and the state table, and fails an
+  /// FMOSSIM_ASSERT on the first mismatch. O(network + records + circuits);
+  /// call between patterns.
   void checkIndexes() const;
 
  private:
@@ -328,6 +322,22 @@ class ConcurrentFaultSimulator {
   struct Override {
     CircuitId circuit;
     State value;
+  };
+
+  /// A faulty circuit's one fault site: the stuck node (a permanent node
+  /// stuck-at, or the struck node while an SEU pulse is held) or the
+  /// overridden transistor, with the value it is held at. Every faulty
+  /// circuit carries at most one overlay, so the circuit-major question
+  /// "is n stuck / is t overridden in circuit c" is one compare against
+  /// site_[c]; the per-node and per-transistor overlay lists serve the
+  /// node-major scans.
+  static constexpr std::uint32_t kNoSite = 0xffffffff;
+  struct FaultSite {
+    std::uint32_t node = kNoSite;
+    std::uint32_t trans = kNoSite;
+    State value = State::SX;
+
+    bool operator==(const FaultSite&) const = default;
   };
 
   /// Master constructor both public constructors delegate to: permanent
@@ -353,6 +363,10 @@ class ConcurrentFaultSimulator {
   void processFaultyCircuit(CircuitId c, bool coerce);
   void collectTriggers(std::span<const NodeId> members);
   void dropCircuit(CircuitId c);
+  /// Gives circuit c its fault site: sets site_[c], inserts the overlay into
+  /// the node-major list in circuit order and updates the watch counts.
+  void addOverlay(CircuitId c, FaultSite site);
+  /// Removes circuit c's fault site (if any) in the same three places.
   void removeOverlay(CircuitId c);
 
   // --- transient (SEU) machinery (transientMode_ only) ---------------------
@@ -360,20 +374,21 @@ class ConcurrentFaultSimulator {
   // A transient machine carries no static overlay until injection. An
   // instantaneous flip becomes an ordinary divergence record (reconciled
   // like a faulty-circuit commit); a pulse becomes a temporary node-stuck
-  // overlay at the flipped value, released at its boundary with the held
-  // value left behind as charge (a record, unless it agrees with the good
-  // circuit). Both schedule the node and its gated transistors' channel
-  // ends, exactly like a node-stuck injection, and the perturbation is
-  // settled in place (settleInPlace: the replay cursor, when present, must
-  // not advance — the good machine is quiet between patterns).
+  // overlay at the flipped value (the machine's fault site while held),
+  // released at its boundary with the held value left behind as charge (a
+  // record, unless it agrees with the good circuit). Both schedule the node
+  // and its gated transistors' channel ends, exactly like a node-stuck
+  // injection, and the perturbation is settled in place (settleInPlace:
+  // the replay cursor, when present, must not advance — the good machine is
+  // quiet between patterns).
   struct TransientMachine {
     NodeId node;
     std::uint64_t atPattern = 0;
     std::uint32_t pulsePatterns = 0;
-    State forcedValue = State::SX;  ///< pulse hold value (flip of good)
-    bool pulseActive = false;
     bool injected = false;
   };
+  /// True while transient machine c holds its pulse.
+  bool pulseHeld(CircuitId c) const { return site_[c].node != kNoSite; }
   void loadTransientSpecs(std::span<const TransientFault> specs,
                           std::uint64_t numPatterns);
   void injectTransientFlip(CircuitId c);
@@ -425,12 +440,12 @@ class ConcurrentFaultSimulator {
   // Index maintenance. Every divergence source — a record, a stuck-node
   // overlay, a transistor override — enters and leaves through these three
   // helpers, which keep all derived indexes in step: the per-node
-  // divergence and stuck counts, the per-transistor override counts, the
-  // divergent-channel lists, the stuck-input-neighbour counts and the
-  // trigger watch counts. watchCount_[n] is the number of sources whose
-  // trigger scan lands on node n, mirroring collectTriggers' member scan
-  // exactly; a member with count 0 cannot mark any circuit, so the scan
-  // skips it — the common case once faults start dropping.
+  // divergence counts, the divergent-channel lists, the
+  // stuck-input-neighbour counts and the trigger watch counts.
+  // watchCount_[n] is the number of sources whose trigger scan lands on
+  // node n, mirroring collectTriggers' member scan exactly; a member with
+  // count 0 cannot mark any circuit, so the scan skips it — the common case
+  // once faults start dropping.
   void addRecordWatch(NodeId m, std::int32_t delta);
   void addStuckWatch(NodeId n, std::int32_t delta);
   void addTransWatch(TransId t, std::int32_t delta);
@@ -440,48 +455,38 @@ class ConcurrentFaultSimulator {
   /// can differ from the good circuit's. O(1) insert and swap-remove.
   void refreshDivergentChannel(TransId t);
 
-  // Lookup helpers over the static overlay tables: the innermost lookups of
-  // the faulty-circuit views (tens of millions of calls per run). The
-  // common case — no circuit diverges at the node or transistor — is
-  // answered from flat arrays; the overlay vectors are searched only behind
-  // a non-zero count.
-  static const Override* findOverride(const std::vector<Override>& v,
-                                      CircuitId c) {
-    for (const Override& o : v) {
-      if (o.circuit >= c) return o.circuit == c ? &o : nullptr;
-    }
-    return nullptr;
-  }
+  // Lookup helpers: the innermost lookups of the faulty-circuit views (tens
+  // of millions of calls per run). FaultyCircuitView (concurrent_sim.cpp) is
+  // the one implementation of a faulty circuit's pre-phase state and
+  // conduction; stateIn/conductionIn wrap it for callers that hold only a
+  // circuit id. The view answers, in order, from the circuit's fault site,
+  // the state table's lane-group miss filter (a miss reads the pre-phase good
+  // circuit) and, only for nodes where some circuit of the same lane group
+  // diverges, the record lookup.
   bool isStuckNode(NodeId n, CircuitId c) const {
-    return stuckCount_[n.value] != 0 &&
-           findOverride(nodeStuck_[n.value], c) != nullptr;
+    return site_[c].node == n.value;
   }
   bool hasOverride(TransId t, CircuitId c) const {
-    return overrideCount_[t.value] != 0 &&
-           findOverride(transOverride_[t.value], c) != nullptr;
+    return site_[c].trans == t.value;
   }
   /// Good state of n as it was when the current phase began.
   State preGood(NodeId n) const {
     return goodOldStamp_[n.value] == phaseEpoch_ ? goodOldValue_[n.value]
                                                  : table_.good(n);
   }
+  /// Good conduction of t as it was when the current phase began.
+  State preGoodConduction(TransId t) const {
+    return condOldStamp_[t.value] == phaseEpoch_ ? condOldValue_[t.value]
+                                                 : cond0_[t.value];
+  }
   /// Pre-phase view of node n in circuit c.
-  State stateIn(NodeId n, CircuitId c) const {
-    if (divCount_[n.value] == 0) return preGood(n);
-    return divergedStateIn(n, c);
-  }
-  /// Conduction of t in circuit c under the pre-phase lens. Without an
-  /// override and with an undivergent gate it is the good circuit's
-  /// pre-phase conduction: one stamped array read.
-  State conductionIn(TransId t, CircuitId c) const {
-    if (chanDivergent_[t.value] == 0) {
-      return condOldStamp_[t.value] == phaseEpoch_ ? condOldValue_[t.value]
-                                                   : cond0_[t.value];
-    }
-    return divergedConductionIn(t, c);
-  }
-  State divergedStateIn(NodeId n, CircuitId c) const;
-  State divergedConductionIn(TransId t, CircuitId c) const;
+  State stateIn(NodeId n, CircuitId c) const;
+  /// Conduction of t in circuit c under the pre-phase lens.
+  State conductionIn(TransId t, CircuitId c) const;
+  /// Circuit c's record at n if it holds one, else the pre-phase good state
+  /// (the out-of-line tail of the view's lookup, reached only when a circuit
+  /// of c's lane group may diverge at n).
+  State recordedStateIn(NodeId n, CircuitId c) const;
   /// Sets the good conduction of t during a good-phase commit, stashing the
   /// pre-phase value for the conduction lens.
   void commitGoodConduction(TransId t, State nc) {
@@ -525,9 +530,11 @@ class ConcurrentFaultSimulator {
   std::vector<State> condOldValue_;
   std::vector<std::uint32_t> condOldStamp_;
 
-  // Static per-circuit overlays.
+  // Static per-circuit overlays: node-major lists for the trigger,
+  // scheduling and observation scans, and the circuit-major site.
   std::vector<std::vector<Override>> nodeStuck_;     // per node
   std::vector<std::vector<Override>> transOverride_; // per transistor
+  std::vector<FaultSite> site_;                      // per circuit, [0] unused
 
   std::vector<std::uint8_t> alive_;        // [0..F], alive_[0] unused
   std::vector<std::int32_t> detectedAt_;   // per fault index
@@ -545,13 +552,11 @@ class ConcurrentFaultSimulator {
   std::vector<std::uint32_t> watchCount_;  // per node: trigger sources landing here
   // Per node: #divergence records + #stuck overlays. Zero means every faulty
   // circuit agrees with the (pre-phase) good circuit here, which lets the
-  // faulty-view state lookup skip both overlay and record searches — the
-  // common case for the tens of millions of stateIn calls per run. One
-  // extra trailing slot (index numNodes), always zero, is the condGate_ of
-  // every fault device, whose conduction never follows a node.
+  // node-major scans (trigger collection, setting seeds, lane matching) and
+  // the divergent-channel flags skip the node. One extra trailing slot
+  // (index numNodes), always zero, is the condGate_ of every fault device,
+  // whose conduction never follows a node.
   std::vector<std::uint32_t> divCount_;
-  std::vector<std::uint32_t> stuckCount_;     // per node: nodeStuck_ size
-  std::vector<std::uint32_t> overrideCount_;  // per transistor: transOverride_ size
   std::vector<std::uint32_t> condGate_;       // per transistor: gate, or numNodes
   std::vector<std::uint8_t> isInput_;         // per node: Network::isInput
   // Divergent channels: transistors that carry an override or whose gate
@@ -592,47 +597,6 @@ class ConcurrentFaultSimulator {
   // Marks circuits already in curCircuits_ for the current phase.
   std::vector<std::uint32_t> phaseCircuitStamp_;
   std::uint32_t phaseEpoch_ = 1;
-
-  // Per-phase vicinity-solution memo: within one unit-delay phase, faulty
-  // circuits triggered on the same region usually present the solver with
-  // bit-identical vicinities (same members, charges, edges and input
-  // values) — the divergence that triggered them often lies outside the
-  // grown region or coincides across circuits. Solutions are therefore
-  // cached per phase keyed by full vicinity content; a hit replays the
-  // stored solution, which is sound because the solver is a pure function
-  // of that content. Only vicinities with member-to-member edges are
-  // memoized — edge-free ones take the solver's direct path, which is
-  // already cheaper than a memo probe. Flat arenas + a stamped
-  // open-addressing index keep the memo allocation-free in steady state.
-  struct MemoEntry {
-    std::uint64_t hash;
-    std::uint32_t membersOff, memberCount;
-    std::uint32_t edgesOff, edgeCount;
-    std::uint32_t inputsOff, inputCount;
-    std::uint32_t solutionOff;
-  };
-  void memoReset();
-  bool memoLookup(std::uint64_t hash, const Vicinity& vic,
-                  std::vector<State>& out) const;
-  void memoStore(std::uint64_t hash, const Vicinity& vic,
-                 const std::vector<State>& solution);
-  static std::uint64_t memoHash(const Vicinity& vic);
-  /// Solves via the per-phase memo (general entry point for both the good
-  /// phase and the faulty circuits).
-  void solveMemoized(const Vicinity& vic, std::vector<State>& out);
-
-  std::vector<MemoEntry> memoEntries_;
-  std::vector<NodeId> memoMembers_;
-  std::vector<State> memoCharges_;
-  std::vector<Vicinity::Edge> memoEdges_;
-  std::vector<Vicinity::InputEdge> memoInputs_;
-  std::vector<State> memoSolutions_;
-  std::vector<std::uint32_t> memoSlots_;       // open addressing: entry idx + 1
-  std::vector<std::uint32_t> memoSlotStamp_;   // slot valid iff == memoStamp_
-  std::uint32_t memoStamp_ = 0;
-  std::uint64_t memoHits_ = 0;
-  std::uint64_t memoProbes_ = 0;
-  std::uint64_t memoReplayedEvals_ = 0;  // member evals answered from the memo
 
   // Scratch.
   VicinityBuilder vicBuilder_;

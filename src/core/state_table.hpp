@@ -1,26 +1,27 @@
-// Per-node state lists — the central data structure of the concurrent
-// algorithm (paper §4):
-//
-//   "we maintain a separate state list for each node, containing records of
-//    the form <i, s_i>, indicating that in circuit i ... this node has state
-//    s_i. Such records are maintained only for the good circuit, and for
-//    those circuits i such that s_i != s_0."
-//
-// The good circuit's state is a flat array; each node additionally carries
-// divergence records packed into *lane blocks*: ternary state fits 2 bits,
-// so one 64-bit word holds the states of 32 consecutive circuits (a lane
-// *group*), with a 32-bit divergence mask saying which lanes actually hold a
-// record. Scanning a node's records — the inner loop of trigger collection —
-// walks a handful of words instead of one entry per diverging circuit, and
-// the lane-batched faulty-circuit path (concurrent_sim) matches and commits
-// a whole group of fault machines with a few SWAR word operations
-// (matchLanes / commitLanes).
-//
-// Blocks live in one shared arena (a single std::vector<LaneBlock> pool)
-// indexed by per-node {offset, count, capacity} descriptors, sorted by
-// group; inserting a block never allocates unless a node's block list
-// outgrows a power-of-two capacity class (freed lists are recycled through
-// per-class free lists).
+/// \file
+/// Per-node state lists — the central data structure of the concurrent
+/// algorithm (paper §4):
+///
+///   "we maintain a separate state list for each node, containing records of
+///    the form `<i, s_i>`, indicating that in circuit i ... this node has state
+///    s_i. Such records are maintained only for the good circuit, and for
+///    those circuits i such that s_i != s_0."
+///
+/// The good circuit's state is a flat array; each node additionally carries
+/// divergence records packed into *lane blocks*: ternary state fits 2 bits,
+/// so one 64-bit word holds the states of 32 consecutive circuits (a lane
+/// *group*), with a 32-bit divergence mask saying which lanes actually hold a
+/// record. Scanning a node's records — the inner loop of trigger collection —
+/// walks a handful of words instead of one entry per diverging circuit, and
+/// the lane-batched faulty-circuit path (concurrent_sim) matches and commits
+/// a whole group of fault machines with a few SWAR word operations
+/// (matchLanes / commitLanes).
+///
+/// Blocks live in one shared arena (a single `std::vector<LaneBlock>` pool)
+/// indexed by per-node {offset, count, capacity} descriptors, sorted by
+/// group; inserting a block never allocates unless a node's block list
+/// outgrows a power-of-two capacity class (freed lists are recycled through
+/// per-class free lists).
 #pragma once
 
 #include <algorithm>
@@ -39,12 +40,16 @@ namespace fmossim {
 /// S1=1, SX=2) in 2-bit fields at bit 2*lane.
 namespace lanes {
 
+/// Circuits per lane group (2-bit lanes in one 64-bit word).
 inline constexpr std::uint32_t kLaneCount = 32;
 /// 0101... — one bit per 2-bit lane field (the low bit of every lane).
 inline constexpr std::uint64_t kEvenBits = 0x5555555555555555ull;
 
+/// Lane group of faulty circuit c.
 constexpr std::uint32_t groupOf(CircuitId c) { return (c - 1) / kLaneCount; }
+/// Lane of faulty circuit c within its group.
 constexpr std::uint32_t laneOf(CircuitId c) { return (c - 1) % kLaneCount; }
+/// Faulty circuit at (group, lane); the inverse of groupOf/laneOf.
 constexpr CircuitId circuitAt(std::uint32_t group, std::uint32_t lane) {
   return group * kLaneCount + lane + 1;
 }
@@ -98,9 +103,9 @@ constexpr State laneState(std::uint64_t bits, std::uint32_t lane) {
 /// set (lanes outside divMask agree with the good circuit; their bits are
 /// stale).
 struct LaneBlock {
-  std::uint32_t group = 0;
-  std::uint32_t divMask = 0;
-  std::uint64_t bits = 0;
+  std::uint32_t group = 0;    ///< lane group (circuits circuitAt(group, *))
+  std::uint32_t divMask = 0;  ///< lanes holding a record
+  std::uint64_t bits = 0;     ///< 2-bit state per lane
 };
 
 /// Good-circuit state plus per-node divergence lane blocks in a shared
@@ -108,6 +113,7 @@ struct LaneBlock {
 /// (reconcile/commitLanes/erase); do not hold them across mutations.
 class StateTable {
  public:
+  /// All-X good state and no records for every node of `net`.
   explicit StateTable(const Network& net)
       : good_(net.numNodes(), State::SX), blocks_(net.numNodes()) {}
 
@@ -123,8 +129,8 @@ class StateTable {
   /// Divergence lookup result: whether circuit c holds a record at the node,
   /// and the recorded state if so.
   struct Lookup {
-    bool diverges = false;
-    State value = State::SX;
+    bool diverges = false;    ///< circuit c holds a record at the node
+    State value = State::SX;  ///< the recorded state (valid iff diverges)
   };
 
   /// Circuit c's divergence at node n, if any. O(log blocks) + O(1) bit ops.
@@ -149,9 +155,22 @@ class StateTable {
   /// True if circuit c diverges from the good circuit at node n.
   bool hasRecord(NodeId n, CircuitId c) const { return lookup(n, c).diverges; }
 
+  /// Lane-group miss filter: false when no circuit of `group` diverges at
+  /// node n. The per-node group mask aliases groups modulo 64, so true only
+  /// means a block of some group g == group (mod 64) is present — enough to
+  /// skip the block search on a miss, for any number of groups.
+  bool mayDiverge(NodeId n, std::uint32_t group) const {
+    return (blocks_[n.value].groupMask >> (group % 64)) & 1u;
+  }
+
+  /// Node n's lane-group mask (bit g % 64 per block of group g); exposed for
+  /// the engine's index consistency check.
+  std::uint64_t groupMask(NodeId n) const { return blocks_[n.value].groupMask; }
+
   /// Node n's lane block for a circuit group, or nullptr if no circuit of
   /// that group diverges here. Invalidated by mutation.
   const LaneBlock* findBlock(NodeId n, std::uint32_t group) const {
+    if (!mayDiverge(n, group)) return nullptr;
     const Block& b = blocks_[n.value];
     const LaneBlock* begin = pool_.data() + b.offset;
     const LaneBlock* it = lowerBound(begin, begin + b.count, group);
@@ -207,8 +226,8 @@ class StateTable {
   /// Outcome of a lane-masked commit: lanes whose record this call created
   /// or removed (callers update watch/divergence counts by popcount).
   struct LaneCommit {
-    std::uint32_t insertedMask = 0;
-    std::uint32_t erasedMask = 0;
+    std::uint32_t insertedMask = 0;  ///< lanes whose record was created
+    std::uint32_t erasedMask = 0;    ///< lanes whose record was removed
   };
 
   /// Reconciles every lane in `mask` of `group` to state `value` at node n
@@ -217,6 +236,7 @@ class StateTable {
   /// anything else inserts/updates them.
   LaneCommit commitLanes(NodeId n, std::uint32_t group, std::uint32_t mask,
                          State value) {
+    if (value == good_[n.value] && !mayDiverge(n, group)) return {};
     Block& b = blocks_[n.value];
     LaneBlock* begin = pool_.data() + b.offset;
     LaneBlock* it = lowerBound(begin, begin + b.count, group);
@@ -257,6 +277,7 @@ class StateTable {
   /// Removes circuit c's record at node n if present; returns true if a
   /// record was removed.
   bool erase(NodeId n, CircuitId c) {
+    if (!mayDiverge(n, lanes::groupOf(c))) return false;
     Block& b = blocks_[n.value];
     LaneBlock* begin = pool_.data() + b.offset;
     LaneBlock* it = lowerBound(begin, begin + b.count, lanes::groupOf(c));
@@ -278,8 +299,10 @@ class StateTable {
 
  private:
   /// One node's block list inside the arena. capacity is 0 or a power of
-  /// two >= kMinCapacity.
+  /// two >= kMinCapacity. groupMask has bit g % 64 set for every listed
+  /// block's group g (the mayDiverge filter).
   struct Block {
+    std::uint64_t groupMask = 0;
     std::uint32_t offset = 0;
     std::uint32_t count = 0;
     std::uint32_t capacity = 0;
@@ -308,13 +331,20 @@ class StateTable {
     for (std::uint32_t i = b.count; i > pos; --i) begin[i] = begin[i - 1];
     begin[pos] = blk;
     ++b.count;
+    b.groupMask |= std::uint64_t{1} << (blk.group % 64);
     return begin + pos;
   }
 
+  /// Removes the block at pos; the group mask is rebuilt from the remaining
+  /// blocks, since another group may share the removed group's bit.
   void removeAt(Block& b, std::uint32_t pos) {
     LaneBlock* begin = pool_.data() + b.offset;
     for (std::uint32_t i = pos + 1; i < b.count; ++i) begin[i - 1] = begin[i];
     --b.count;
+    b.groupMask = 0;
+    for (std::uint32_t i = 0; i < b.count; ++i) {
+      b.groupMask |= std::uint64_t{1} << (begin[i].group % 64);
+    }
   }
 
   /// Moves the block list to a capacity-doubled arena region (recycling

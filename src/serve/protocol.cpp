@@ -23,6 +23,36 @@ std::uint32_t u32Field(const JsonValue& v, const char* key,
   return static_cast<std::uint32_t>(x);
 }
 
+// The generator options a gen or seu spec expands to: the seed's randomized
+// defaults with the spec's non-zero pins applied.
+GenOptions genOptionsFor(const WorkloadSpec& spec) {
+  GenOptions gen = GenOptions::randomized(spec.circuitSeed);
+  if (spec.numNodes != 0) gen.numNodes = spec.numNodes;
+  if (spec.numInputs != 0) gen.numInputs = spec.numInputs;
+  if (spec.numFaults != 0) gen.numFaults = spec.numFaults;
+  if (spec.numPatterns != 0) gen.numPatterns = spec.numPatterns;
+  return gen;
+}
+
+// Refuses a generated spec past the server's admission limits (see
+// protocol.hpp), judged on the sizes it would expand to.
+void checkAdmission(const WorkloadSpec& spec) {
+  const GenOptions gen = genOptionsFor(spec);
+  const auto refuse = [](const char* what, std::uint64_t max) {
+    throw Error(std::string("workload: ") + what +
+                " exceeds the server limit (max " + std::to_string(max) + ")");
+  };
+  if (gen.numNodes > kMaxWorkloadNodes) refuse("nodes", kMaxWorkloadNodes);
+  if (gen.numFaults > kMaxWorkloadFaults) refuse("faults", kMaxWorkloadFaults);
+  if (spec.seuInjections > kMaxSeuInjections) {
+    refuse("seuInjections", kMaxSeuInjections);
+  }
+  // Both factors are below 2^32 here, so the product cannot overflow.
+  if (!spec.stream && gen.numPatterns * gen.numInputs > kMaxPatternInputs) {
+    refuse("patterns x inputs", kMaxPatternInputs);
+  }
+}
+
 // Derives a fresh random test sequence over a generated circuit's data
 // inputs: pattern 0 (the generator's power-on/init pattern, which drives
 // Vdd/Gnd and every input to a known state) is kept verbatim, later patterns
@@ -146,6 +176,7 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
                v.find("seuInstants") != nullptr) {
       throw Error("workload: seu fields require kind \"seu\"");
     }
+    checkAdmission(spec);
   } else {
     throw Error("workload: unknown kind '" + kind +
                 "' (want gen, seu or inline)");
@@ -179,11 +210,7 @@ BuiltWorkload buildWorkload(const WorkloadSpec& spec) {
     out.seq = parseSequence(out.net, spec.sequence);
     out.faults = parseFaultSpec(out.net, spec.faults);
   } else {
-    GenOptions gen = GenOptions::randomized(spec.circuitSeed);
-    if (spec.numNodes != 0) gen.numNodes = spec.numNodes;
-    if (spec.numInputs != 0) gen.numInputs = spec.numInputs;
-    if (spec.numFaults != 0) gen.numFaults = spec.numFaults;
-    if (spec.numPatterns != 0) gen.numPatterns = spec.numPatterns;
+    const GenOptions gen = genOptionsFor(spec);
     if (spec.stream) {
       if (spec.seqSeed != 0) {
         throw Error("workload: stream is incompatible with seqSeed (derived "

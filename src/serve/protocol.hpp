@@ -37,6 +37,18 @@
 
 namespace fmossim::serve {
 
+/// Server-side admission limits on generated (gen and seu) workloads,
+/// checked by WorkloadSpec::fromJson before anything is built: a spec past
+/// any of them is a protocol error, so a hostile or mistaken request cannot
+/// make the daemon allocate an arbitrarily large circuit, fault universe,
+/// campaign or materialized sequence. Streamed sequences are generated on the
+/// fly and are not bounded by kMaxPatternInputs.
+inline constexpr std::uint32_t kMaxWorkloadNodes = 1u << 16;
+inline constexpr std::uint32_t kMaxWorkloadFaults = 1u << 16;
+inline constexpr std::uint32_t kMaxSeuInjections = 1u << 16;
+/// Materialized patterns x inputs (the size of a generated sequence).
+inline constexpr std::uint64_t kMaxPatternInputs = std::uint64_t{1} << 24;
+
 /// One submittable simulation request; see the file comment for the two
 /// workload kinds. Engine knobs ride along so tenants control parallelism
 /// and detection policy per request.
@@ -99,7 +111,8 @@ struct WorkloadSpec {
   bool isSeu() const { return !isInline() && seuInjections > 0; }
 
   JsonValue toJson() const;
-  /// Throws Error on malformed specs (unknown kind, bad policy string).
+  /// Throws Error on malformed specs (unknown kind, bad policy string) and
+  /// on generated specs past the admission limits above.
   static WorkloadSpec fromJson(const JsonValue& v);
 };
 

@@ -108,17 +108,17 @@ void SteadyStateSolver::relaxValue(const Vicinity& vic, bool wantHigh,
   }
 }
 
-void SteadyStateSolver::solveEdgeless(const Vicinity& vic,
-                                      std::vector<State>& out) {
+void SteadyStateSolver::solveDirect(const Vicinity& vic,
+                                    std::vector<State>& out) {
   const auto m = static_cast<std::uint32_t>(vic.size());
-  // Small fixed-size scratch: edge-free vicinities are almost always one or
-  // two members, and heap-backed per-solve assigns would dominate the math.
-  constexpr std::uint32_t kStack = 16;
-  Strength defBuf[kStack], hBuf[kStack], lBuf[kStack];
+  // Small fixed-size scratch: direct vicinities are almost always two or
+  // three members, and heap-backed per-solve assigns would dominate the
+  // math. Only edge-free vicinities can exceed it.
+  Strength defBuf[kSmallVicinity], hBuf[kSmallVicinity], lBuf[kSmallVicinity];
   Strength* def = defBuf;
   Strength* h = hBuf;
   Strength* l = lBuf;
-  if (m > kStack) {
+  if (m > kSmallVicinity) {
     def_.assign(m, 0);
     hstr_.assign(m, 0);
     lstr_.assign(m, 0);
@@ -126,16 +126,34 @@ void SteadyStateSolver::solveEdgeless(const Vicinity& vic,
     h = hstr_.data();
     l = lstr_.data();
   }
-  // def per member: own size vs strongest definite input.
+  // One relaxation step of field f across an edge: the signal arriving at
+  // `to` is absorbed there if weaker than the definite strength (for f ==
+  // def this is the plain max-min step).
+  const auto pass = [def](Strength* f, std::uint32_t from, std::uint32_t to,
+                          Strength s) {
+    const Strength nd = std::min(f[from], s);
+    if (nd < def[to] || nd <= f[to]) return false;
+    f[to] = nd;
+    return true;
+  };
+  // def per member: own size vs strongest definite input, then relaxed over
+  // definite edges until no value changes.
   for (std::uint32_t i = 0; i < m; ++i) def[i] = vic.memberSize[i];
   for (const auto& ie : vic.inputEdges) {
     if (ie.definite && ie.strength > def[ie.member]) {
       def[ie.member] = ie.strength;
     }
   }
+  for (bool changed = !vic.edges.empty(); changed;) {
+    changed = false;
+    for (const auto& e : vic.edges) {
+      if (!e.definite) continue;
+      changed |= pass(def, e.a, e.b, e.strength);
+      changed |= pass(def, e.b, e.a, e.strength);
+    }
+  }
   // H / L per member: charge source (blocked by a strictly stronger definite
-  // signal) and input sources (blocked likewise). No propagation — there are
-  // no member-to-member edges.
+  // signal) and input sources (blocked likewise)...
   for (std::uint32_t i = 0; i < m; ++i) {
     const State ch = vic.memberCharge[i];
     h[i] = (ch != State::S0 && vic.memberSize[i] >= def[i])
@@ -154,6 +172,16 @@ void SteadyStateSolver::solveEdgeless(const Vicinity& vic,
       l[ie.member] = ie.strength;
     }
   }
+  // ...then relaxed over every edge until no value changes.
+  for (bool changed = !vic.edges.empty(); changed;) {
+    changed = false;
+    for (const auto& e : vic.edges) {
+      changed |= pass(h, e.a, e.b, e.strength);
+      changed |= pass(h, e.b, e.a, e.strength);
+      changed |= pass(l, e.a, e.b, e.strength);
+      changed |= pass(l, e.b, e.a, e.strength);
+    }
+  }
   for (std::uint32_t i = 0; i < m; ++i) {
     const bool hi = h[i] > 0;
     const bool lo = l[i] > 0;
@@ -169,8 +197,8 @@ void SteadyStateSolver::solve(const Vicinity& vic, std::vector<State>& out) {
   ++solves_;
   nodeEvals_ += m;
 
-  if (vic.edges.empty()) {
-    solveEdgeless(vic, out);
+  if (vic.edges.empty() || m <= kSmallVicinity) {
+    solveDirect(vic, out);
     return;
   }
 

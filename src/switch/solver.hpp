@@ -1,26 +1,28 @@
-// Steady-state response solver (paper §4; model from Bryant, IEEE ToC 1984).
-//
-// Given a vicinity — a set of storage nodes connected by conducting
-// transistors, bounded by input nodes — the solver computes the new state of
-// every member node. Signals are <strength, value> pairs; stronger signals
-// absorb weaker ones, equal-strength conflicting values merge to X.
-//
-// Three bucketed max-min relaxations per vicinity (see DESIGN.md §3):
-//
-//  1. def[n]  — strength of the strongest *definite* signal at n, using only
-//               transistors in state 1. Every member sources its own charge
-//               <size, state>; input edges source <omega, state> attenuated
-//               by the transistor strength.
-//  2. H[n]    — strongest possibly-winning signal carrying value in {1,X},
-//               using transistors in state 1 or X, where a signal of running
-//               strength sigma is blocked at any node m with sigma < def[m]
-//               (the definite signal there absorbs it).
-//     L[n]    — likewise for values in {0,X}.
-//  3. state'  — 1 if only H wins, 0 if only L wins, X if both can.
-//
-// This yields ratioed-logic resolution (weak pull-up loses to strong
-// pull-down), charge sharing by node size, precharged-bus reads, and
-// conservative X propagation through uncertain switches.
+/// \file
+/// Steady-state response solver (paper §4; model from Bryant, IEEE ToC 1984).
+///
+/// Given a vicinity — a set of storage nodes connected by conducting
+/// transistors, bounded by input nodes — the solver computes the new state of
+/// every member node. Signals are `<strength, value>` pairs; stronger signals
+/// absorb weaker ones, equal-strength conflicting values merge to X.
+///
+/// Three max-min relaxations per vicinity (see DESIGN.md §3), run as
+/// repeated sweeps on small vicinities and as bucket queues on large ones:
+///
+///  1. def[n]  — strength of the strongest *definite* signal at n, using only
+///               transistors in state 1. Every member sources its own charge
+///               `<size, state>`; input edges source `<omega, state>`
+///               attenuated by the transistor strength.
+///  2. H[n]    — strongest possibly-winning signal carrying value in {1,X},
+///               using transistors in state 1 or X, where a signal of running
+///               strength sigma is blocked at any node m with sigma < def[m]
+///               (the definite signal there absorbs it).
+///     L[n]    — likewise for values in {0,X}.
+///  3. state'  — 1 if only H wins, 0 if only L wins, X if both can.
+///
+/// This yields ratioed-logic resolution (weak pull-up loses to strong
+/// pull-down), charge sharing by node size, precharged-bus reads, and
+/// conservative X propagation through uncertain switches.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,7 @@ namespace fmossim {
 /// create one per simulation engine.
 class SteadyStateSolver {
  public:
+  /// A solver for vicinities whose strengths come from `domain`.
   explicit SteadyStateSolver(const SignalDomain& domain);
 
   /// Computes the steady state of the vicinity. `out` is resized to
@@ -53,6 +56,7 @@ class SteadyStateSolver {
   /// lane widths.
   void creditLanes(std::uint64_t memberEvals);
 
+  /// Zeroes nodeEvals() and solves().
   void resetCounters() {
     nodeEvals_ = 0;
     solves_ = 0;
@@ -71,13 +75,20 @@ class SteadyStateSolver {
   // Relaxes H (wantHigh=true: sources with value 1 or X) or L into `field`.
   void relaxValue(const Vicinity& vic, bool wantHigh, std::vector<Strength>& field);
 
-  // Edge-free vicinities (isolated storage nodes, or an input seed fanning
-  // out to unconnected neighbours) need no relaxation at all: every member's
-  // response is a direct max over its own charge and its input edges. This
-  // is the overwhelmingly common case in practice (mean vicinity size on the
-  // paper's RAM workloads is ~1.3 members), so it bypasses the CSR build and
-  // the bucket queues entirely. Bit-identical to the general path.
-  void solveEdgeless(const Vicinity& vic, std::vector<State>& out);
+  // Largest vicinity with edges solved by solveDirect; larger ones take the
+  // CSR build and the bucket queues, which stay efficient on long chains
+  // where repeated sweeps cost O(members x edges).
+  static constexpr std::uint32_t kSmallVicinity = 16;
+
+  // Direct path for edge-free vicinities of any size and for vicinities of
+  // at most kSmallVicinity members: the same three relaxations, run as
+  // repeated sweeps over vic.edges on stack arrays until no value changes.
+  // A max-min fixpoint is unique, so every result equals the bucketed
+  // path's. This is the overwhelmingly common case in practice (mean
+  // vicinity size on the paper's RAM workloads is ~1.3 members, and nearly
+  // every vicinity with edges has two or three), so it bypasses the CSR build
+  // and the bucket queues entirely.
+  void solveDirect(const Vicinity& vic, std::vector<State>& out);
 
   // Bucket-queue helpers over strength levels.
   void bucketPush(std::uint32_t node, Strength level);

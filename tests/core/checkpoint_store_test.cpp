@@ -4,6 +4,11 @@
 // memory-budgeted temp-file window — including memoryBytes() staying within
 // the budget while the window slides.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <cerrno>
+#include <csignal>
+#include <cstring>
 
 #include "api/engine.hpp"
 #include "core/checkpoint.hpp"
@@ -205,6 +210,70 @@ TEST(CheckpointStoreTest, BudgetedStoreMatchesUnboundedRun) {
     EXPECT_LE(store->memoryBytes(), sopts.budgetBytes);
   }
   EXPECT_EQ(store->recordings(), 1u);
+}
+
+// A spill write that fails (here EFBIG, from this process's own lowered
+// file-size limit with SIGXFSZ ignored) surfaces as an fmossim::Error naming
+// the errno from CheckpointStore::acquire. It does not abort the process or
+// poison the store: an in-memory store records under the same limit, and
+// once the limit is restored the failed store records and replays exactly.
+TEST(CheckpointStoreTest, SpillWriteFailureThrowsAndLeavesTheStoreUsable) {
+  const GeneratedWorkload w = makeWorkload(29, 700);
+  FsimOptions opts;
+  opts.policy = DetectionPolicy::AnyDifference;
+  const GoodMachineCheckpoint unbounded =
+      GoodMachineCheckpoint::record(w.net, w.seq, opts);
+  CheckpointStore::Options sopts;
+  sopts.budgetBytes = unbounded.memoryBytes() / 4;
+  CheckpointStore budgeted(sopts);
+  CheckpointStore inMemory;
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  // Restores the limit and the signal disposition on every exit path.
+  struct Restore {
+    rlimit limit;
+    void (*handler)(int);
+    ~Restore() {
+      ::setrlimit(RLIMIT_FSIZE, &limit);
+      std::signal(SIGXFSZ, handler);
+    }
+  } restore{saved, std::signal(SIGXFSZ, SIG_IGN)};
+  rlimit low = saved;
+  low.rlim_cur = 1024;  // the first spilled chunk already crosses it
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &low), 0);
+
+  std::string message;
+  try {
+    budgeted.acquire(w.net, w.seq, opts);
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("checkpoint spill write failed"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(std::strerror(EFBIG)), std::string::npos) << message;
+  EXPECT_EQ(budgeted.entries(), 0u);
+  EXPECT_EQ(budgeted.recordings(), 0u);
+
+  // In-memory recording writes no file, so the lowered limit cannot fail it.
+  const auto mem = inMemory.acquire(w.net, w.seq, opts);
+  EXPECT_FALSE(mem->spilled());
+  EXPECT_EQ(mem->finalGoodStates(), unbounded.finalGoodStates());
+
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit now{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &now), 0);
+  EXPECT_EQ(now.rlim_cur, saved.rlim_cur);
+
+  const auto spilled = budgeted.acquire(w.net, w.seq, opts);
+  ASSERT_TRUE(spilled->spilled());
+  EXPECT_EQ(budgeted.recordings(), 1u);
+  ConcurrentFaultSimulator fromMemory(w.net, w.faults, opts, nullptr,
+                                      mem.get());
+  ConcurrentFaultSimulator fromSpill(w.net, w.faults, opts, nullptr,
+                                     spilled.get());
+  expectBitIdentical(fromMemory.run(w.seq), fromSpill.run(w.seq),
+                     "in-memory vs spilled replay after a failed spill");
 }
 
 // Wall-clock vs aggregate-CPU timing split: both populated, CPU >= each

@@ -361,5 +361,85 @@ TEST(StateTableArenaTest, RandomOpsMatchReferenceModel) {
   EXPECT_LT(t.arenaSize(), 4096u);
 }
 
+// The lane-group miss filter with more than 64 lane groups: groups alias
+// modulo 64, so the per-node mask must stay a superset of the groups present
+// (never a false miss) and equal the OR of the present groups' bits after
+// every insert, erase, block-list growth and block removal.
+TEST(StateTableArenaTest, GroupMaskStaysExactWhenGroupsAlias) {
+  NetworkBuilder b;
+  constexpr unsigned kNodes = 4;
+  for (unsigned i = 0; i < kNodes; ++i) b.addNode("n" + std::to_string(i));
+  const Network net = b.build();
+  StateTable t(net);
+  for (unsigned i = 0; i < kNodes; ++i) t.setGood(NodeId(i), State::S0);
+  // 200 groups, drawn from few residues so that most aliases collide.
+  constexpr std::uint32_t kGroups = 200;
+  const std::uint32_t residues[] = {0, 1, 63};
+  std::vector<std::map<CircuitId, State>> model(kNodes);
+  Rng rng(20261017);
+  std::size_t maxBlocks = 0;
+  bool sawAliasedHit = false;
+
+  for (int step = 0; step < 30000; ++step) {
+    const NodeId n(rng.below(kNodes));
+    std::uint32_t group = residues[rng.below(3)] + 64 * rng.below(4);
+    if (group >= kGroups) group = rng.below(kGroups);
+    const std::uint32_t lane = rng.below(lanes::kLaneCount);
+    const CircuitId c = lanes::circuitAt(group, lane);
+    auto& m = model[n.value];
+    switch (rng.below(4)) {
+      case 0:
+      case 1: {  // insert or update a record (block insert, list growth)
+        const State v = rng.chance(0.5) ? State::S1 : State::SX;
+        t.reconcile(n, c, v);
+        m[c] = v;
+        break;
+      }
+      case 2: {  // reconverge: erase through reconcile
+        t.reconcile(n, c, State::S0);
+        m.erase(c);
+        break;
+      }
+      case 3: {  // drop the whole group's lanes at once (block removal)
+        std::uint32_t mask = 0;
+        for (auto it = m.begin(); it != m.end();) {
+          if (lanes::groupOf(it->first) == group) {
+            mask |= 1u << lanes::laneOf(it->first);
+            it = m.erase(it);
+          } else {
+            ++it;
+          }
+        }
+        const StateTable::LaneCommit lc =
+            t.commitLanes(n, group, 0xffffffffu, State::S0);
+        EXPECT_EQ(lc.erasedMask, mask);
+        break;
+      }
+    }
+
+    // The mask equals the OR of the present groups' aliased bits.
+    std::uint64_t expect = 0;
+    std::map<std::uint32_t, std::size_t> present;  // group -> records
+    for (const auto& [circuit, v] : m) {
+      expect |= std::uint64_t{1} << (lanes::groupOf(circuit) % 64);
+      ++present[lanes::groupOf(circuit)];
+    }
+    ASSERT_EQ(t.groupMask(n), expect) << "step " << step;
+    maxBlocks = std::max(maxBlocks, present.size());
+    // No false misses, and a block exactly for the present groups.
+    for (std::uint32_t g = 0; g < kGroups; ++g) {
+      const bool has = present.count(g) != 0;
+      if (has) ASSERT_TRUE(t.mayDiverge(n, g));
+      ASSERT_EQ(t.findBlock(n, g) != nullptr, has);
+      if (!has && t.mayDiverge(n, g)) sawAliasedHit = true;
+    }
+    ASSERT_EQ(t.stateOf(n, c), m.count(c) ? m[c] : State::S0);
+  }
+  // The run really grew block lists past several capacity classes, and the
+  // filter answered "maybe" for an absent group whose alias was present.
+  EXPECT_GE(maxBlocks, 8u);
+  EXPECT_TRUE(sawAliasedHit);
+}
+
 }  // namespace
 }  // namespace fmossim

@@ -252,10 +252,81 @@ TEST(WorkloadSpecTest, RejectsU32FieldsPastTheirRangeInsteadOfTruncating) {
           << e.what();
     }
   }
-  // In-range values still parse, the u32 maximum included.
-  EXPECT_EQ(parseWith("gen", "nodes", 0xffffffffull).numNodes, 0xffffffffu);
+  // In-range values still parse, the u32 maximum included (on a field the
+  // admission limits do not bound).
+  EXPECT_EQ(parseWith("seu", "seuInstants", 0xffffffffull).seuInstants,
+            0xffffffffu);
   EXPECT_EQ(parseWith("gen", "laneWidth", 16).laneWidth, 16u);
   EXPECT_EQ(parseWith("seu", "seuInstants", 3).seuInstants, 3u);
+}
+
+// Admission limits: a generated spec past a server-side size limit is a
+// protocol error at parse time (before buildWorkload could allocate it),
+// naming the field; the limit itself is admitted.
+JsonValue genSpec(const std::string& kind) {
+  JsonValue v = JsonValue::makeObject();
+  v.set("kind", JsonValue::makeString(kind));
+  if (kind == "seu") v.set("seuInjections", JsonValue::makeU64(4));
+  return v;
+}
+
+void expectRefused(const JsonValue& v, const std::string& field) {
+  try {
+    WorkloadSpec::fromJson(v);
+    ADD_FAILURE() << field << " past its limit was admitted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+    EXPECT_NE(what.find("server limit"), std::string::npos) << what;
+  }
+}
+
+TEST(WorkloadAdmissionTest, RefusesNodesPastTheLimit) {
+  for (const char* kind : {"gen", "seu"}) {
+    JsonValue v = genSpec(kind);
+    v.set("nodes", JsonValue::makeU64(kMaxWorkloadNodes));
+    EXPECT_EQ(WorkloadSpec::fromJson(v).numNodes, kMaxWorkloadNodes);
+    v.set("nodes", JsonValue::makeU64(kMaxWorkloadNodes + 1ull));
+    expectRefused(v, "nodes");
+  }
+}
+
+TEST(WorkloadAdmissionTest, RefusesFaultsPastTheLimit) {
+  JsonValue v = genSpec("gen");
+  v.set("faults", JsonValue::makeU64(kMaxWorkloadFaults));
+  EXPECT_EQ(WorkloadSpec::fromJson(v).numFaults, kMaxWorkloadFaults);
+  v.set("faults", JsonValue::makeU64(0xffffffffull));
+  expectRefused(v, "faults");
+}
+
+TEST(WorkloadAdmissionTest, RefusesSeuInjectionsPastTheLimit) {
+  JsonValue v = genSpec("seu");
+  v.set("seuInjections", JsonValue::makeU64(kMaxSeuInjections));
+  EXPECT_EQ(WorkloadSpec::fromJson(v).seuInjections, kMaxSeuInjections);
+  v.set("seuInjections", JsonValue::makeU64(kMaxSeuInjections + 1ull));
+  expectRefused(v, "seuInjections");
+}
+
+TEST(WorkloadAdmissionTest, RefusesPatternsTimesInputsPastTheLimit) {
+  for (const char* kind : {"gen", "seu"}) {
+    JsonValue v = genSpec(kind);
+    v.set("inputs", JsonValue::makeU64(16));
+    v.set("patterns", JsonValue::makeU64(kMaxPatternInputs / 16));
+    EXPECT_NO_THROW(WorkloadSpec::fromJson(v));
+    v.set("patterns", JsonValue::makeU64(kMaxPatternInputs / 16 + 1));
+    expectRefused(v, "patterns x inputs");
+    // Generator-default inputs count too: the seed's default input count
+    // (at least three) times kMaxPatternInputs patterns is refused.
+    JsonValue bare = genSpec(kind);
+    bare.set("patterns", JsonValue::makeU64(kMaxPatternInputs));
+    expectRefused(bare, "patterns x inputs");
+  }
+  // A streamed sequence is never materialized, so only its own 64-bit count
+  // bounds it.
+  JsonValue stream = genSpec("gen");
+  stream.set("stream", JsonValue::makeBool(true));
+  stream.set("patterns", JsonValue::makeU64(std::uint64_t{1} << 40));
+  EXPECT_NO_THROW(WorkloadSpec::fromJson(stream));
 }
 
 }  // namespace

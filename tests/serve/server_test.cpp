@@ -292,12 +292,13 @@ JsonValue tinySubmitRequest() {
   return req;
 }
 
-/// Submits `burst` jobs back to back, then waits for all of them.
-void runBurst(Server& server, int burst) {
+/// Submits `burst` copies of `request` back to back, then waits for all of
+/// them.
+void runBurst(Server& server, int burst, const JsonValue& request) {
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < burst; ++i) {
     const JsonValue submitted =
-        JsonValue::parse(server.handleLine(tinySubmitRequest().dump()));
+        JsonValue::parse(server.handleLine(request.dump()));
     ASSERT_TRUE(submitted.boolOr("ok", false));
     ids.push_back(submitted.u64Or("id", 0));
   }
@@ -315,13 +316,15 @@ TEST(ServerTest, LatencyStatsKeepMovingPastFourThousandCompletions) {
   Server server{ServerOptions{}};
   server.start();
   // One job at a time: each latency is one job's run time.
-  for (int i = 0; i < 4200; ++i) runBurst(server, 1);
+  for (int i = 0; i < 4200; ++i) runBurst(server, 1, tinySubmitRequest());
   const ServerStats before = server.stats();
   EXPECT_EQ(before.completed, 4200u);
   EXPECT_EQ(before.latencySamples, before.completed);
   // Bursts queue behind each other, so their later jobs wait many job
-  // times; with >1% of all samples from bursts, p99 must rise.
-  for (int b = 0; b < 12; ++b) runBurst(server, 48);
+  // times; with >1% of all samples from bursts, p99 must rise. Burst jobs
+  // are a larger workload than the lone tiny jobs, so that wait stays well
+  // above the scheduling delays a loaded host adds to single tiny jobs.
+  for (int b = 0; b < 12; ++b) runBurst(server, 48, submitRequest(1));
   const ServerStats after = server.stats();
   EXPECT_EQ(after.completed, 4200u + 12u * 48u);
   EXPECT_EQ(after.latencySamples, after.completed);
