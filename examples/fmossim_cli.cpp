@@ -85,10 +85,6 @@ void printUsage(std::FILE* to, const char* argv0) {
                "backend only)]\n"
                "          [--batch-faults N  sharded fault-batch size "
                "(default: auto)]\n"
-               "          [--lane-width N  word-lane fault batching width "
-               "(power of two\n"
-               "                           in [1, 32], default 1; "
-               "bit-identical results)]\n"
                "          [--checkpoint-budget SIZE  good-machine checkpoint "
                "memory budget\n"
                "                           (bytes, k/m/g suffix; 0 = "
@@ -184,7 +180,7 @@ std::size_t parseByteSize(const char* text, const char* flag) {
 }
 
 // Strict positive-integer parse for counted flags (--jobs, --batch-faults,
-// --lane-width): trailing garbage, zero, negatives and overflow are all
+// --gen, --instants): trailing garbage, zero, negatives and overflow are all
 // errors with exit 2, never a silently clamped or truncated count.
 std::uint32_t parsePositiveCount(const char* text, const char* flag,
                                  std::uint32_t maxValue) {
@@ -199,19 +195,6 @@ std::uint32_t parsePositiveCount(const char* text, const char* flag,
     std::exit(2);
   }
   return static_cast<std::uint32_t>(v);
-}
-
-// --lane-width additionally requires a power of two: lane words pack 2-bit
-// states, so only power-of-two widths align fault windows.
-std::uint32_t parseLaneWidth(const char* text, const char* flag) {
-  const std::uint32_t v = parsePositiveCount(text, flag, 32);
-  if ((v & (v - 1)) != 0) {
-    std::fprintf(stderr,
-                 "invalid value '%s' for %s (want a power of two in [1, 32])\n",
-                 text, flag);
-    std::exit(2);
-  }
-  return v;
 }
 
 const char* kDemoNetlist = R"(| demo: nMOS inverter chain with a pass gate
@@ -246,9 +229,6 @@ int fuzzUsage(std::FILE* to, const char* argv0) {
       "               [--seed S       first seed (default 1)]\n"
       "               [--nodes N] [--inputs N] [--faults N] [--patterns N]\n"
       "               [--policy any|definite] [--no-drop]\n"
-      "               [--lane-width N pin the lane-sharing comparands to\n"
-      "                               {1, N} (power of two in [1, 32];\n"
-      "                               default sweeps {1, 4, 32})]\n"
       "               [--chaos N      lose every Nth concurrent trigger\n"
       "                               (oracle self-test; must find bugs)]\n"
       "               [--quiet]\n",
@@ -262,7 +242,6 @@ int runFuzz(int argc, char** argv) {
   std::uint64_t firstSeed = 1;
   std::uint32_t numSeeds = 25;
   std::optional<std::uint32_t> nodes, inputs, faults, patterns, chaos;
-  std::optional<std::uint32_t> laneWidth;
   std::optional<DetectionPolicy> policy;
   bool noDrop = false, quiet = false;
 
@@ -304,17 +283,6 @@ int runFuzz(int argc, char** argv) {
     else if (arg == "--faults") faults = nextUint();
     else if (arg == "--patterns") patterns = nextUint();
     else if (arg == "--chaos") chaos = nextUint();
-    else if (arg == "--lane-width") {
-      const std::uint32_t v = nextUint();
-      if (v < 1 || v > 32 || (v & (v - 1)) != 0) {
-        std::fprintf(stderr,
-                     "invalid value '%u' for --lane-width (want a power of "
-                     "two in [1, 32])\n",
-                     v);
-        std::exit(2);
-      }
-      laneWidth = v;
-    }
     else if (arg == "--no-drop") noDrop = true;
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--policy") {
@@ -349,7 +317,6 @@ int runFuzz(int argc, char** argv) {
                                         ? DetectionPolicy::DefiniteOnly
                                         : DetectionPolicy::AnyDifference);
     oracle.dropDetected = noDrop ? false : vary.chance(0.75);
-    if (laneWidth) oracle.laneVariants = {1, *laneWidth};
     if (chaos) oracle.debugLoseTriggerEvery = *chaos;
 
     const GeneratedWorkload w = generateWorkload(gen);
@@ -372,7 +339,6 @@ int runFuzz(int argc, char** argv) {
                    ? " --policy any"
                    : " --policy definite";
       if (!oracle.dropDetected) repro += " --no-drop";
-      if (laneWidth) repro += format(" --lane-width %u", *laneWidth);
       if (chaos) repro += format(" --chaos %u", *chaos);
       std::printf("%s\n%s  reproduce: %s\n", describeWorkload(w).c_str(),
                   rep.summary().c_str(), repro.c_str());
@@ -802,8 +768,6 @@ int seuUsage(std::FILE* to, const char* argv0) {
       "                                 unclustered; clustering shares replay\n"
       "                                 tails between same-instant strikes)]\n"
       "              [--jobs N          worker threads over injection groups]\n"
-      "              [--lane-width N    word-lane batching within a group\n"
-      "                                 (power of two in [1, 32])]\n"
       "              [--policy any|definite (default: definite)]\n"
       "              [--naive           from-scratch baseline: one full\n"
       "                                 sequence simulation per injection,\n"
@@ -817,7 +781,7 @@ int seuUsage(std::FILE* to, const char* argv0) {
       "still differs at end of sequence) or silent (reconverged). The good\n"
       "machine is recorded once; injections grouped by instant replay only\n"
       "the tail after their strike. Deterministic for fixed inputs across\n"
-      "--jobs and --lane-width.\n",
+      "--jobs.\n",
       argv0);
   return to == stderr ? 2 : 0;
 }
@@ -863,8 +827,6 @@ int runSeu(int argc, char** argv) {
                                     std::numeric_limits<std::uint32_t>::max());
     } else if (arg == "--jobs") {
       opts.jobs = parsePositiveCount(next(), "--jobs", 1u << 16);
-    } else if (arg == "--lane-width") {
-      opts.laneWidth = parseLaneWidth(next(), "--lane-width");
     } else if (arg == "--policy") {
       const std::string p = next();
       if (p == "any") opts.policy = DetectionPolicy::AnyDifference;
@@ -1064,8 +1026,6 @@ int main(int argc, char** argv) {
       opts.batchFaults =
           parsePositiveCount(next(), "--batch-faults",
                              std::numeric_limits<std::uint32_t>::max());
-    } else if (arg == "--lane-width") {
-      opts.laneWidth = parseLaneWidth(next(), "--lane-width");
     } else if (arg == "--checkpoint-budget") {
       opts.checkpointBudgetBytes = parseByteSize(next(), "--checkpoint-budget");
     } else if (arg == "--schedule") {

@@ -39,9 +39,8 @@ ShardedRunner::ShardedRunner(const Network& net, FaultList faults,
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> ShardedRunner::makeBatches(
-    std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults,
-    std::uint32_t laneWidth) {
-  return sched::contiguousBatches(numFaults, jobs, batchFaults, laneWidth);
+    std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults) {
+  return sched::contiguousBatches(numFaults, jobs, batchFaults);
 }
 
 FaultSimResult mergeShardResults(
@@ -153,7 +152,7 @@ sched::BatchPlan ShardedRunner::buildPlan(unsigned effectiveJobs) const {
     }
   }
   return sched::makeSchedule(schedule_, std::move(hist))
-      ->plan(faults_.size(), effectiveJobs, batchFaults_, options_.laneWidth);
+      ->plan(faults_.size(), effectiveJobs, batchFaults_);
 }
 
 void ShardedRunner::publishHistory(const FaultSimResult& merged) const {
@@ -196,11 +195,7 @@ std::vector<FaultSimResult> ShardedRunner::runReplayBatches(
         }
       }
       FaultList batch(std::move(gathered));
-      FsimOptions batchOptions = options_;
-      if (b < plan.hintWindows.size()) {
-        batchOptions.shareHintWindows = plan.hintWindows[b];
-      }
-      ConcurrentFaultSimulator sim(net_, batch, batchOptions, nullptr,
+      ConcurrentFaultSimulator sim(net_, batch, options_, nullptr,
                                    checkpoint_.get());
       batchResults[b] = runOne(sim);
     }

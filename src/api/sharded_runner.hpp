@@ -156,17 +156,12 @@ class ShardedRunner : public FaultSimulator {
   /// The contiguous work-stealing batch schedule: contiguous, ascending,
   /// covering [0, numFaults). batchFaults > 0 yields fixed-size batches; 0
   /// (auto) yields ~4 batches per worker, floored at 32 faults so per-batch
-  /// checkpoint-replay overhead stays amortized. The auto size is rounded up
-  /// to a multiple of `laneWidth` so lane-sharing windows (which each batch
-  /// engine forms over its locally renumbered faults) line up with batch
-  /// boundaries instead of being split across shards — results are
-  /// bit-identical either way; alignment only preserves the sharing
-  /// opportunities. Deterministic — workers only race for batch *claims*,
-  /// never for boundaries. Delegates to sched::contiguousBatches (kept as a
-  /// static here for the scheduler unit tests and older callers).
+  /// checkpoint-replay overhead stays amortized. Deterministic — workers
+  /// only race for batch *claims*, never for boundaries. Delegates to
+  /// sched::contiguousBatches (kept as a static here for the scheduler unit
+  /// tests and older callers).
   static std::vector<std::pair<std::uint32_t, std::uint32_t>> makeBatches(
-      std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults,
-      std::uint32_t laneWidth = 1);
+      std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults);
 
  private:
   /// Fetches the checkpoint for `seq` from the store (recording on a cache

@@ -12,10 +12,11 @@
 /// so one 64-bit word holds the states of 32 consecutive circuits (a lane
 /// *group*), with a 32-bit divergence mask saying which lanes actually hold a
 /// record. Scanning a node's records — the inner loop of trigger collection —
-/// walks a handful of words instead of one entry per diverging circuit, and
-/// the lane-batched faulty-circuit path (concurrent_sim) matches and commits
-/// a whole group of fault machines with a few SWAR word operations
-/// (matchLanes / commitLanes).
+/// walks a handful of words instead of one entry per diverging circuit, and a
+/// per-node group mask answers most faulty-circuit lookups (mayDiverge)
+/// without searching the node's blocks at all. Records are read and written
+/// one circuit at a time (lookup / reconcile / erase); the engine evaluates
+/// each faulty circuit in turn.
 ///
 /// Blocks live in one shared arena (a single `std::vector<LaneBlock>` pool)
 /// indexed by per-node {offset, count, capacity} descriptors, sorted by
@@ -34,17 +35,14 @@
 
 namespace fmossim {
 
-/// Lane arithmetic shared by the state table and the lane-batched engine.
-/// Circuit IDs start at 1 (0 is the good circuit), so circuit c occupies
-/// lane (c-1)%32 of group (c-1)/32. States pack as their enum value (S0=0,
-/// S1=1, SX=2) in 2-bit fields at bit 2*lane.
+/// Lane arithmetic of the state table's block layout. Circuit IDs start at 1
+/// (0 is the good circuit), so circuit c occupies lane (c-1)%32 of group
+/// (c-1)/32. States pack as their enum value (S0=0, S1=1, SX=2) in 2-bit
+/// fields at bit 2*lane.
 namespace lanes {
 
 /// Circuits per lane group (2-bit lanes in one 64-bit word).
 inline constexpr std::uint32_t kLaneCount = 32;
-/// 0101... — one bit per 2-bit lane field (the low bit of every lane).
-inline constexpr std::uint64_t kEvenBits = 0x5555555555555555ull;
-
 /// Lane group of faulty circuit c.
 constexpr std::uint32_t groupOf(CircuitId c) { return (c - 1) / kLaneCount; }
 /// Lane of faulty circuit c within its group.
@@ -52,43 +50,6 @@ constexpr std::uint32_t laneOf(CircuitId c) { return (c - 1) % kLaneCount; }
 /// Faulty circuit at (group, lane); the inverse of groupOf/laneOf.
 constexpr CircuitId circuitAt(std::uint32_t group, std::uint32_t lane) {
   return group * kLaneCount + lane + 1;
-}
-
-/// Replicates a 2-bit state value into all 32 lanes of a word.
-constexpr std::uint64_t splat2(State v) {
-  return kEvenBits * static_cast<std::uint64_t>(v);
-}
-
-/// Compresses the even bits of x (bit 2l) down to a 32-bit mask (bit l) —
-/// the inverse Morton shuffle.
-constexpr std::uint32_t compressEven(std::uint64_t x) {
-  x &= 0x5555555555555555ull;
-  x = (x | (x >> 1)) & 0x3333333333333333ull;
-  x = (x | (x >> 2)) & 0x0F0F0F0F0F0F0F0Full;
-  x = (x | (x >> 4)) & 0x00FF00FF00FF00FFull;
-  x = (x | (x >> 8)) & 0x0000FFFF0000FFFFull;
-  x = (x | (x >> 16)) & 0x00000000FFFFFFFFull;
-  return static_cast<std::uint32_t>(x);
-}
-
-/// Spreads a 32-bit lane mask (bit l) to a full 2-bit field mask (bits 2l
-/// and 2l+1) — the Morton shuffle, then both bits of each selected lane.
-constexpr std::uint64_t spread2(std::uint32_t mask) {
-  std::uint64_t x = mask;
-  x = (x | (x << 16)) & 0x0000FFFF0000FFFFull;
-  x = (x | (x << 8)) & 0x00FF00FF00FF00FFull;
-  x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0Full;
-  x = (x | (x << 2)) & 0x3333333333333333ull;
-  x = (x | (x << 1)) & 0x5555555555555555ull;
-  return x * 3;  // even bits only: *3 == x | (x << 1), carry-free
-}
-
-/// Lanes whose 2-bit field in `bits` equals state v, over all 32 lanes
-/// (callers mask with the divergence mask — undiverged lanes hold stale
-/// bits).
-constexpr std::uint32_t eqLanes(std::uint64_t bits, State v) {
-  const std::uint64_t x = bits ^ splat2(v);
-  return ~compressEven((x | (x >> 1)) & kEvenBits);
 }
 
 /// Extracts the 2-bit state of one lane.
@@ -110,7 +71,7 @@ struct LaneBlock {
 
 /// Good-circuit state plus per-node divergence lane blocks in a shared
 /// arena. Block pointers are invalidated by any mutating call
-/// (reconcile/commitLanes/erase); do not hold them across mutations.
+/// (reconcile/erase); do not hold them across mutations.
 class StateTable {
  public:
   /// All-X good state and no records for every node of `net`.
@@ -217,61 +178,21 @@ class StateTable {
   /// value re-converges with the good circuit, else inserts/updates it.
   Reconciled reconcile(NodeId n, CircuitId c, State value) {
     FMOSSIM_ASSERT(c != kGoodCircuit, "reconcile is for faulty circuits");
-    const LaneCommit lc =
-        commitLanes(n, lanes::groupOf(c), 1u << lanes::laneOf(c), value);
-    if (value == good_[n.value]) return {false, false, lc.erasedMask != 0};
-    return {true, lc.insertedMask != 0, false};
-  }
-
-  /// Outcome of a lane-masked commit: lanes whose record this call created
-  /// or removed (callers update watch/divergence counts by popcount).
-  struct LaneCommit {
-    std::uint32_t insertedMask = 0;  ///< lanes whose record was created
-    std::uint32_t erasedMask = 0;    ///< lanes whose record was removed
-  };
-
-  /// Reconciles every lane in `mask` of `group` to state `value` at node n
-  /// in one word operation: per lane exactly equivalent to reconcile() on
-  /// the corresponding circuit. Value == good erases the masked records;
-  /// anything else inserts/updates them.
-  LaneCommit commitLanes(NodeId n, std::uint32_t group, std::uint32_t mask,
-                         State value) {
-    if (value == good_[n.value] && !mayDiverge(n, group)) return {};
+    if (value == good_[n.value]) return {false, false, erase(n, c)};
+    const std::uint32_t group = lanes::groupOf(c);
     Block& b = blocks_[n.value];
     LaneBlock* begin = pool_.data() + b.offset;
     LaneBlock* it = lowerBound(begin, begin + b.count, group);
-    const bool present = it != begin + b.count && it->group == group;
-    if (value == good_[n.value]) {
-      if (!present) return {};
-      const std::uint32_t erased = it->divMask & mask;
-      it->divMask &= ~mask;
-      totalRecords_ -= std::popcount(erased);
-      if (it->divMask == 0) removeAt(b, static_cast<std::uint32_t>(it - begin));
-      return {0, erased};
-    }
-    if (!present) {
+    if (it == begin + b.count || it->group != group) {
       it = insertAt(b, static_cast<std::uint32_t>(it - begin), {group, 0, 0});
     }
-    const std::uint32_t inserted = mask & ~it->divMask;
-    const std::uint64_t field = lanes::spread2(mask);
-    it->bits = (it->bits & ~field) | (lanes::splat2(value) & field);
-    it->divMask |= mask;
-    totalRecords_ += std::popcount(inserted);
-    return {inserted, 0};
-  }
-
-  /// Lanes of `group` (restricted to candidateMask) whose state at node n
-  /// equals `value`, where lanes without a record read `background` — the
-  /// caller's circuit-independent fallback (the pre-phase good lens of the
-  /// concurrent engine, which this table cannot see).
-  std::uint32_t matchLanes(NodeId n, std::uint32_t group,
-                           std::uint32_t candidateMask, State value,
-                           State background) const {
-    const LaneBlock* blk = findBlock(n, group);
-    const std::uint32_t div = blk ? blk->divMask : 0;
-    std::uint32_t m = (background == value) ? ~div : 0u;
-    if (blk != nullptr) m |= div & lanes::eqLanes(blk->bits, value);
-    return candidateMask & m;
+    const std::uint32_t lane = lanes::laneOf(c);
+    const bool inserted = ((it->divMask >> lane) & 1u) == 0;
+    it->bits = (it->bits & ~(std::uint64_t{3} << (2 * lane))) |
+               (static_cast<std::uint64_t>(value) << (2 * lane));
+    it->divMask |= 1u << lane;
+    if (inserted) ++totalRecords_;
+    return {true, inserted, false};
   }
 
   /// Removes circuit c's record at node n if present; returns true if a

@@ -12,9 +12,9 @@ namespace fmossim::perf {
 namespace {
 
 std::string rowKey(const BenchRow& row) {
-  return format("%s jobs=%u policy=%s drop=%s lanes=%u%s%s",
+  return format("%s jobs=%u policy=%s drop=%s%s%s",
                 row.backend.c_str(), row.jobs, row.policy.c_str(),
-                row.dropDetected ? "yes" : "no", row.laneWidth,
+                row.dropDetected ? "yes" : "no",
                 row.streamed ? " streamed" : "",
                 row.schedule != "contiguous"
                     ? (" schedule=" + row.schedule).c_str()
@@ -25,7 +25,7 @@ const BenchRow* findRow(const ScenarioResult& sr, const BenchRow& like) {
   for (const BenchRow& row : sr.rows) {
     if (row.backend == like.backend && row.jobs == like.jobs &&
         row.policy == like.policy && row.dropDetected == like.dropDetected &&
-        row.laneWidth == like.laneWidth && row.streamed == like.streamed &&
+        row.streamed == like.streamed &&
         row.schedule == like.schedule) {
       return &row;
     }

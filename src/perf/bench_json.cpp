@@ -226,9 +226,8 @@ std::string toJson(const ScenarioResult& r) {
     out += format("\"jobs\": %u, ", row.jobs);
     out += "\"policy\": \"" + escape(row.policy) + "\", ";
     out += format("\"dropDetected\": %s, ", row.dropDetected ? "true" : "false");
-    out += format("\"laneWidth\": %u, ", row.laneWidth);
-    // Additive like laneWidth: emitted only for streaming rows, so
-    // materialized rows — and older baselines — stay byte-compatible.
+    // Additive: emitted only for streaming rows, so materialized rows — and
+    // older baselines — stay byte-compatible.
     if (row.streamed) out += "\"streamed\": true, ";
     // Additive like streamed: emitted only for non-default schedule
     // policies, so contiguous rows — and older parsers — are unaffected.
@@ -339,8 +338,6 @@ ScenarioResult parseBenchJson(const std::string& text) {
           else if (rk == "jobs") row.jobs = static_cast<unsigned>(p.parseNumber());
           else if (rk == "policy") row.policy = p.parseString();
           else if (rk == "dropDetected") row.dropDetected = p.parseBool();
-          // Additive: absent in pre-lane baselines, which parse as scalar.
-          else if (rk == "laneWidth") row.laneWidth = static_cast<std::uint32_t>(p.parseNumber());
           // Additive: absent in pre-streaming baselines (materialized rows).
           else if (rk == "streamed") row.streamed = p.parseBool();
           // Additive: absent in pre-schedule baselines (contiguous rows).

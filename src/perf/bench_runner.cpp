@@ -148,7 +148,6 @@ ScenarioResult BenchRunner::runScenario(
     for (const RowSpec& spec : w.rows) {
       seu::CampaignOptions campaignOpts;
       campaignOpts.jobs = spec.jobs;
-      campaignOpts.laneWidth = spec.laneWidth;
       campaignOpts.policy = spec.policy;
       campaignOpts.naive = spec.seuNaive;
       campaignOpts.store = store;
@@ -159,7 +158,6 @@ ScenarioResult BenchRunner::runScenario(
       row.policy =
           spec.policy == DetectionPolicy::AnyDifference ? "any" : "definite";
       row.dropDetected = spec.dropDetected;
-      row.laneWidth = spec.laneWidth;
       row.reps = reps;
 
       const auto runOnce = [&]() {
@@ -214,7 +212,6 @@ ScenarioResult BenchRunner::runScenario(
     row.policy =
         spec.policy == DetectionPolicy::AnyDifference ? "any" : "definite";
     row.dropDetected = spec.dropDetected;
-    row.laneWidth = spec.laneWidth;
     row.streamed = w.streamConfig.has_value();
     row.schedule = sched::schedulePolicyName(spec.schedule);
     row.reps = reps;

@@ -42,7 +42,6 @@ struct RowSpec {
   DetectionPolicy policy = DetectionPolicy::DefiniteOnly;  ///< detection criterion
   bool dropDetected = true;  ///< drop faulty circuits once detected
   std::uint32_t batchFaults = 0;  ///< sharded fault-batch size (0 = auto)
-  std::uint32_t laneWidth = 1;    ///< fault-lane sharing window (1 = scalar)
   /// SEU campaign scenarios only (Workload::seuCampaign non-empty): run the
   /// naive from-scratch baseline (one full-sequence engine per injection)
   /// instead of checkpoint-replay tails. The replay rows' checksums must
@@ -57,11 +56,11 @@ struct RowSpec {
 
   /// EngineOptions equivalent of this row.
   EngineOptions engineOptions() const;
-  /// Stable row label ("concurrent", "sharded-4", "concurrent-lanes32",
-  /// "sharded-4-hist", "serial").
+  /// Stable row label ("concurrent", "sharded-4", "sharded-4-hist",
+  /// "serial").
   std::string label() const;
   /// Stable row label for SEU campaign scenarios ("seu-replay",
-  /// "seu-replay-4", "seu-replay-lanes32", "seu-naive").
+  /// "seu-replay-4", "seu-naive").
   std::string seuLabel() const;
 };
 

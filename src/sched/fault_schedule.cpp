@@ -21,12 +21,10 @@ std::optional<SchedulePolicy> parseSchedulePolicy(const std::string& text) {
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> contiguousBatches(
-    std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults,
-    std::uint32_t laneWidth) {
+    std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> batches;
   if (numFaults == 0) return batches;
   jobs = std::max(1u, jobs);
-  laneWidth = std::max(1u, laneWidth);
   // Auto schedule: ~4 batches per worker, floored at 32 faults so the
   // per-batch checkpoint-replay overhead stays amortized. Per-fault cost is
   // wildly non-uniform under dropping (a batch whose faults all drop early
@@ -35,18 +33,15 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> contiguousBatches(
   // workers for stealing to level the load — measured on RAM256, this
   // schedule more than halves the critical path vs. one-slice-per-worker at
   // a few percent of added total work.
-  std::uint32_t size =
+  const std::uint32_t size =
       batchFaults > 0
           ? batchFaults
           : std::max<std::uint32_t>(32,
                                     (numFaults + 4 * jobs - 1) / (4 * jobs));
-  // Feed whole lane windows per shard: each batch engine renumbers its
-  // faults from 1, so a batch size that is a laneWidth multiple keeps
-  // sharing windows from straddling shard boundaries.
-  size = (size + laneWidth - 1) / laneWidth * laneWidth;
   std::uint32_t begin = 0;
   while (begin < numFaults) {
-    const std::uint32_t end = std::min(numFaults, begin + size);
+    // min before adding: begin + size may not fit in 32 bits.
+    const std::uint32_t end = begin + std::min(size, numFaults - begin);
     batches.emplace_back(begin, end);
     begin = end;
   }
@@ -54,10 +49,9 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> contiguousBatches(
 }
 
 BatchPlan ContiguousSchedule::plan(std::uint32_t numFaults, unsigned jobs,
-                                   std::uint32_t batchFaults,
-                                   std::uint32_t laneWidth) const {
-  BatchPlan p;  // empty order = identity, no hints
-  p.slices = contiguousBatches(numFaults, jobs, batchFaults, laneWidth);
+                                   std::uint32_t batchFaults) const {
+  BatchPlan p;  // empty order = identity
+  p.slices = contiguousBatches(numFaults, jobs, batchFaults);
   return p;
 }
 
@@ -73,14 +67,13 @@ std::int64_t detectionKey(const DetectionHistory& h, std::uint32_t fault) {
 }  // namespace
 
 BatchPlan HistorySchedule::plan(std::uint32_t numFaults, unsigned jobs,
-                                std::uint32_t batchFaults,
-                                std::uint32_t laneWidth) const {
+                                std::uint32_t batchFaults) const {
   // History is advisory: none recorded (first run), or recorded for a
   // different universe size (the fingerprint gate upstream should prevent
   // this, but a size check keeps the plan safe regardless) — contiguous.
   if (history_ == nullptr ||
       history_->detectedAtPattern.size() != numFaults) {
-    return ContiguousSchedule().plan(numFaults, jobs, batchFaults, laneWidth);
+    return ContiguousSchedule().plan(numFaults, jobs, batchFaults);
   }
   BatchPlan p;
   p.order.resize(numFaults);
@@ -92,32 +85,12 @@ BatchPlan HistorySchedule::plan(std::uint32_t numFaults, unsigned jobs,
                    [&](std::uint32_t a, std::uint32_t b) {
                      return detectionKey(h, a) < detectionKey(h, b);
                    });
-  p.slices = contiguousBatches(numFaults, jobs, batchFaults, laneWidth);
+  p.slices = contiguousBatches(numFaults, jobs, batchFaults);
   // Claim order: the sorted layout puts early-detected (cheap) batches
   // first, so reverse — the expensive tail batches are claimed first and
   // cheap batches fill the stealing queue behind them, the classic
   // longest-job-first makespan move.
   std::reverse(p.slices.begin(), p.slices.end());
-  if (laneWidth > 1) {
-    // Hint lane windows whose faults share one detection class: their
-    // divergence lifetimes match, which is when share groups keep forming
-    // phase after phase — the matcher should not back off on them.
-    p.hintWindows.resize(p.slices.size());
-    for (std::size_t b = 0; b < p.slices.size(); ++b) {
-      const auto [begin, end] = p.slices[b];
-      for (std::uint32_t w = 0; begin + w * laneWidth < end; ++w) {
-        const std::uint32_t lo = begin + w * laneWidth;
-        const std::uint32_t hi = std::min(end, lo + laneWidth);
-        if (hi - lo < 2) continue;  // a singleton window has nothing to share
-        const std::int64_t k0 = detectionKey(h, p.order[lo]);
-        bool uniform = true;
-        for (std::uint32_t i = lo + 1; i < hi && uniform; ++i) {
-          uniform = detectionKey(h, p.order[i]) == k0;
-        }
-        if (uniform) p.hintWindows[b].push_back(w);
-      }
-    }
-  }
   return p;
 }
 

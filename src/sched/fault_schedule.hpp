@@ -9,13 +9,13 @@
 /// layer makes the layout a first-class policy:
 ///
 ///   * **BatchPlan** — a permutation of the fault universe plus contiguous
-///     slices into it (one per batch, in claim order) and per-batch
-///     lane-window share hints. The runner gathers each batch's faults
-///     through the permutation and merges detections back through it, so
-///     every plan over the full universe yields bit-identical results —
-///     detections, nodeEvals, maxAlive and per-pattern rows are all sums or
-///     per-fault values invariant under reordering (faulty circuits never
-///     interact). Only wall clock may change.
+///     slices into it (one per batch, in claim order). The runner gathers
+///     each batch's faults through the permutation and merges detections
+///     back through it, so every plan over the full universe yields
+///     bit-identical results — detections, nodeEvals, maxAlive and
+///     per-pattern rows are all sums or per-fault values invariant under
+///     reordering (faulty circuits never interact). Only wall clock may
+///     change.
 ///
 ///   * **ContiguousSchedule** — the identity layout, byte-for-byte the old
 ///     behavior (the default policy; every other policy is gated
@@ -30,10 +30,7 @@
 ///     expensive tail (undetected faults sort last) into the fewest possible
 ///     batches and lets all the cheap batches exit early. Batches are
 ///     claimed longest-expected-first so the expensive tail cannot land on
-///     the clock edge of a parallel run. Hint windows mark lane windows
-///     whose faults share a detection class — historically-matching
-///     candidates the lane matcher should keep trying to share instead of
-///     backing off.
+///     the clock edge of a parallel run.
 #pragma once
 
 #include <cstdint>
@@ -70,12 +67,6 @@ struct BatchPlan {
   /// Contiguous [begin, end) position ranges, one per batch, in claim
   /// order. Together they cover [0, numFaults) exactly; no batch is empty.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> slices;
-  /// Per-batch share hints: hintWindows[b] lists the batch-local lane
-  /// window indices (localIndex / laneWidth) whose faults the scheduler
-  /// expects to form share groups. Forwarded to
-  /// FsimOptions::shareHintWindows; may be shorter than slices (absent
-  /// batches have no hints).
-  std::vector<std::vector<std::uint32_t>> hintWindows;
 
   /// Global fault index at schedule position `pos`.
   std::uint32_t globalIndex(std::uint32_t pos) const {
@@ -86,11 +77,10 @@ struct BatchPlan {
 /// The contiguous batch boundaries (the layout ShardedRunner::makeBatches
 /// has always produced): ascending, covering [0, numFaults), batchFaults > 0
 /// fixed-size, 0 the auto schedule (~4 batches per worker, floored at 32
-/// faults, rounded up to a laneWidth multiple so sharing windows never
-/// straddle shard boundaries).
+/// faults). Any batchFaults up to UINT32_MAX is valid; one larger than
+/// numFaults yields a single batch.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> contiguousBatches(
-    std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults,
-    std::uint32_t laneWidth = 1);
+    std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults);
 
 /// Batch-layout policy: maps a fault universe and scheduling knobs to a
 /// BatchPlan. Implementations must be pure (same inputs, same plan) so
@@ -103,8 +93,14 @@ class FaultSchedule {
   /// Builds the batch layout. `jobs` is the effective worker count the run
   /// will use (after the hardware cap), matching the old makeBatches call.
   virtual BatchPlan plan(std::uint32_t numFaults, unsigned jobs,
-                         std::uint32_t batchFaults,
-                         std::uint32_t laneWidth) const = 0;
+                         std::uint32_t batchFaults) const = 0;
+  /// The same plan; the trailing argument is ignored. Kept only for the
+  /// benchmark's four-argument `plan(n, jobs, 0, 1)` call
+  /// (perfbench/src/ram_workloads.cpp), until that caller changes.
+  BatchPlan plan(std::uint32_t numFaults, unsigned jobs,
+                 std::uint32_t batchFaults, std::uint32_t /*unused*/) const {
+    return plan(numFaults, jobs, batchFaults);
+  }
 };
 
 /// The identity layout — bit-identical default policy (see file comment).
@@ -112,8 +108,7 @@ class ContiguousSchedule : public FaultSchedule {
  public:
   const char* name() const override { return "contiguous"; }
   BatchPlan plan(std::uint32_t numFaults, unsigned jobs,
-                 std::uint32_t batchFaults,
-                 std::uint32_t laneWidth) const override;
+                 std::uint32_t batchFaults) const override;
 };
 
 /// Detection-history layout (see file comment). With no history, or history
@@ -125,8 +120,7 @@ class HistorySchedule : public FaultSchedule {
       : history_(std::move(history)) {}
   const char* name() const override { return "history"; }
   BatchPlan plan(std::uint32_t numFaults, unsigned jobs,
-                 std::uint32_t batchFaults,
-                 std::uint32_t laneWidth) const override;
+                 std::uint32_t batchFaults) const override;
 
  private:
   std::shared_ptr<const DetectionHistory> history_;

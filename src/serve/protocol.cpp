@@ -123,9 +123,8 @@ JsonValue WorkloadSpec::toJson() const {
     }
   }
   v.set("jobs", JsonValue::makeU64(jobs));
-  if (laneWidth != 1) v.set("laneWidth", JsonValue::makeU64(laneWidth));
-  // Additive like laneWidth: only non-default policies hit the wire, so
-  // requests to and from older endpoints stay byte-compatible.
+  // Additive: only non-default policies hit the wire, so requests to and
+  // from older endpoints stay byte-compatible.
   if (schedule != sched::SchedulePolicy::Contiguous) {
     v.set("schedule",
           JsonValue::makeString(sched::schedulePolicyName(schedule)));
@@ -183,11 +182,6 @@ WorkloadSpec WorkloadSpec::fromJson(const JsonValue& v) {
   }
   spec.jobs = u32Field(v, "jobs", 2);
   if (spec.jobs == 0) throw Error("workload: jobs must be >= 1");
-  spec.laneWidth = u32Field(v, "laneWidth", 1);
-  if (spec.laneWidth < 1 || spec.laneWidth > 32 ||
-      (spec.laneWidth & (spec.laneWidth - 1)) != 0) {
-    throw Error("workload: laneWidth must be a power of two in [1, 32]");
-  }
   const std::string schedule = v.stringOr("schedule", "contiguous");
   if (const auto parsed = sched::parseSchedulePolicy(schedule)) {
     spec.schedule = *parsed;
@@ -256,7 +250,6 @@ EngineOptions specEngineOptions(const WorkloadSpec& spec) {
   EngineOptions opts;
   opts.backend = Backend::Concurrent;
   opts.jobs = spec.jobs;
-  opts.laneWidth = spec.laneWidth;
   opts.schedule = spec.schedule;
   opts.policy = spec.policy;
   opts.dropDetected = spec.dropDetected;

@@ -95,9 +95,6 @@ struct WorkloadSpec {
 
   unsigned jobs = 2;  ///< per-request parallelism (>1 engages the sharded
                       ///< runner and with it the shared checkpoint store)
-  /// Fault-lane sharing window (EngineOptions::laneWidth): power of two in
-  /// [1, 32]; results are bit-identical for every width.
-  std::uint32_t laneWidth = 1;
   /// Batch-layout policy (EngineOptions::schedule). "history" schedules on
   /// the pool's per-tenant detection history (recorded by this tenant's own
   /// earlier requests; contiguous until one exists). Results are

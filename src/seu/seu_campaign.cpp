@@ -77,7 +77,6 @@ CampaignResult runSeuCampaign(const Network& net, const TestSequence& seq,
   engineOpts.sim = options.sim;
   engineOpts.policy = options.policy;
   engineOpts.dropDetected = true;
-  engineOpts.laneWidth = options.naive ? 1 : options.laneWidth;
 
   CampaignResult result;
   result.injections.resize(campaign.size());

@@ -215,8 +215,4 @@ void SteadyStateSolver::solve(const Vicinity& vic, std::vector<State>& out) {
   }
 }
 
-void SteadyStateSolver::creditLanes(std::uint64_t memberEvals) {
-  nodeEvals_ += memberEvals;
-}
-
 }  // namespace fmossim

@@ -7,7 +7,9 @@
 // for the whole sharded pipeline end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "api/engine.hpp"
 #include "api/sharded_runner.hpp"
@@ -155,7 +157,7 @@ TEST(SchedulerMatrixTest, NodeEvalsAndMaxAliveInvariantAcrossJobsAndBatches) {
 }
 
 // Schedule-policy matrix (the FaultSchedule layer's acceptance property):
-// policy x jobs x laneWidth, every cell bit-identical to the contiguous
+// policy x jobs x seeded history, every cell bit-identical to the contiguous
 // default. The history rows are laid out by the detection record a prior
 // contiguous run published into a shared HistoryStore — batch membership
 // is permuted, results must not move. History rows WITHOUT any recorded
@@ -184,21 +186,17 @@ TEST(SchedulerMatrixTest, SchedulePolicyMatrixBitIdentical) {
     for (const sched::SchedulePolicy policy :
          {sched::SchedulePolicy::Contiguous, sched::SchedulePolicy::History}) {
       for (const unsigned jobs : {1u, 2u, 4u}) {
-        for (const std::uint32_t lanes : {1u, 32u}) {
-          for (const bool seeded : {true, false}) {
-            EngineOptions opts = refOpts;
-            opts.schedule = policy;
-            opts.jobs = jobs;
-            opts.laneWidth = lanes;
-            if (seeded) opts.historyStore = history;
-            Engine engine(w.net, w.faults, opts);
-            expectEqualResults(
-                ref, engine.run(w.seq),
-                w.name + " schedule=" + sched::schedulePolicyName(policy) +
-                    " jobs=" + std::to_string(jobs) +
-                    " lanes=" + std::to_string(lanes) +
-                    (seeded ? " seeded" : " unseeded"));
-          }
+        for (const bool seeded : {true, false}) {
+          EngineOptions opts = refOpts;
+          opts.schedule = policy;
+          opts.jobs = jobs;
+          if (seeded) opts.historyStore = history;
+          Engine engine(w.net, w.faults, opts);
+          expectEqualResults(
+              ref, engine.run(w.seq),
+              w.name + " schedule=" + sched::schedulePolicyName(policy) +
+                  " jobs=" + std::to_string(jobs) +
+                  (seeded ? " seeded" : " unseeded"));
         }
       }
     }
@@ -333,6 +331,29 @@ TEST(SchedulerMatrixTest, MakeBatchesEdgeCases) {
   }
 }
 
+// The largest fixed batch size is a valid request: one batch covering the
+// whole universe, from the contiguous layout and the history layout alike.
+// Nothing on the way may round the size up in 32-bit arithmetic, which
+// would wrap it to 0.
+TEST(SchedulerMatrixTest, MaxBatchFaultsYieldsOneBatch) {
+  const std::uint32_t n = 100;
+  const std::uint32_t maxBatch = std::numeric_limits<std::uint32_t>::max();
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> whole = {{0, n}};
+  EXPECT_EQ(sched::contiguousBatches(n, 2, maxBatch), whole);
+  EXPECT_EQ(ShardedRunner::makeBatches(n, 2, maxBatch), whole);
+
+  auto history = std::make_shared<sched::DetectionHistory>();
+  history->faultsFingerprint = 1;
+  history->detectedAtPattern.assign(n, -1);
+  const sched::BatchPlan plan =
+      sched::HistorySchedule(history).plan(n, 2, maxBatch);
+  EXPECT_EQ(plan.slices, whole);
+  ASSERT_EQ(plan.order.size(), n);
+  std::vector<std::uint32_t> sorted = plan.order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::uint32_t i = 0; i < n; ++i) EXPECT_EQ(sorted[i], i);
+}
+
 // End-to-end on the same degenerate shapes: more jobs than faults and a
 // batch size past the universe must merge to the exact reference result.
 TEST(SchedulerMatrixTest, DegenerateBatchShapesMergeExactly) {
@@ -359,9 +380,9 @@ TEST(SchedulerMatrixTest, DegenerateBatchShapesMergeExactly) {
 }
 
 // The history plan is a valid permutation schedule: order permutes
-// [0, n), slices cover every position exactly once with no empty batch,
-// and hint windows are in range. Undetected faults sort to the end of the
-// permutation (the co-batching that motivates the policy).
+// [0, n) and slices cover every position exactly once with no empty
+// batch. Undetected faults sort to the end of the permutation (the
+// co-batching that motivates the policy).
 TEST(SchedulerMatrixTest, HistoryPlanIsValidPermutation) {
   auto history = std::make_shared<sched::DetectionHistory>();
   history->faultsFingerprint = 1;
@@ -375,54 +396,39 @@ TEST(SchedulerMatrixTest, HistoryPlanIsValidPermutation) {
   }
   const sched::HistorySchedule schedule(history);
   for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
-    for (const std::uint32_t lanes : {1u, 32u}) {
-      const sched::BatchPlan plan = schedule.plan(n, jobs, 0, lanes);
-      ASSERT_EQ(plan.order.size(), n);
-      std::vector<bool> seen(n, false);
-      for (const std::uint32_t g : plan.order) {
-        ASSERT_LT(g, n);
-        ASSERT_FALSE(seen[g]);
-        seen[g] = true;
+    const sched::BatchPlan plan = schedule.plan(n, jobs, 0);
+    ASSERT_EQ(plan.order.size(), n);
+    std::vector<bool> seen(n, false);
+    for (const std::uint32_t g : plan.order) {
+      ASSERT_LT(g, n);
+      ASSERT_FALSE(seen[g]);
+      seen[g] = true;
+    }
+    std::vector<bool> covered(n, false);
+    for (const auto& [begin, end] : plan.slices) {
+      ASSERT_LT(begin, end);
+      ASSERT_LE(end, n);
+      for (std::uint32_t pos = begin; pos < end; ++pos) {
+        ASSERT_FALSE(covered[pos]);
+        covered[pos] = true;
       }
-      std::vector<bool> covered(n, false);
-      for (const auto& [begin, end] : plan.slices) {
-        ASSERT_LT(begin, end);
-        ASSERT_LE(end, n);
-        for (std::uint32_t pos = begin; pos < end; ++pos) {
-          ASSERT_FALSE(covered[pos]);
-          covered[pos] = true;
-        }
-      }
-      for (std::uint32_t pos = 0; pos < n; ++pos) EXPECT_TRUE(covered[pos]);
-      // Undetected faults occupy the tail of the permutation: everything
-      // after the first undetected position must also be undetected.
-      bool sawUndetected = false;
-      for (std::uint32_t pos = 0; pos < n; ++pos) {
-        const bool undetected =
-            history->detectedAtPattern[plan.order[pos]] < 0;
-        if (sawUndetected) EXPECT_TRUE(undetected) << "position " << pos;
-        sawUndetected = sawUndetected || undetected;
-      }
-      if (lanes == 1) {
-        // Scalar plans carry no hints at all (hintWindows stays empty).
-        EXPECT_TRUE(plan.hintWindows.empty());
-      } else {
-        ASSERT_EQ(plan.hintWindows.size(), plan.slices.size());
-        for (std::size_t b = 0; b < plan.slices.size(); ++b) {
-          const std::uint32_t span =
-              plan.slices[b].second - plan.slices[b].first;
-          for (const std::uint32_t widx : plan.hintWindows[b]) {
-            EXPECT_LT(widx * lanes, span);
-          }
-        }
-      }
+    }
+    for (std::uint32_t pos = 0; pos < n; ++pos) EXPECT_TRUE(covered[pos]);
+    // Undetected faults occupy the tail of the permutation: everything
+    // after the first undetected position must also be undetected.
+    bool sawUndetected = false;
+    for (std::uint32_t pos = 0; pos < n; ++pos) {
+      const bool undetected =
+          history->detectedAtPattern[plan.order[pos]] < 0;
+      if (sawUndetected) EXPECT_TRUE(undetected) << "position " << pos;
+      sawUndetected = sawUndetected || undetected;
     }
   }
   // Size mismatch (history from a different fault list): contiguous
   // fallback — identity order, the default slices.
-  const sched::BatchPlan fallback = schedule.plan(n + 5, 2, 0, 1);
+  const sched::BatchPlan fallback = schedule.plan(n + 5, 2, 0);
   EXPECT_TRUE(fallback.order.empty());
-  EXPECT_EQ(fallback.slices, sched::contiguousBatches(n + 5, 2, 0, 1));
+  EXPECT_EQ(fallback.slices, sched::contiguousBatches(n + 5, 2, 0));
 }
 
 // Checkpoint read-ahead: with the good-machine trace spilled to disk (tiny

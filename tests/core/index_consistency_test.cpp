@@ -7,8 +7,7 @@
 // ConcurrentFaultSimulator::checkIndexes() recomputes all of them from the
 // overlay tables and the state table; this suite calls it after every
 // pattern of every engine mode that mutates them: direct and
-// checkpoint-replay grading with dropping on and off at lane widths 1 and
-// 32, and SEU engines (naive and tail-resumed), whose pulse injection and
+// checkpoint-replay grading with dropping on and off, and SEU engines (naive and tail-resumed), whose pulse injection and
 // release add and remove stuck overlays mid-run.
 #include <gtest/gtest.h>
 
@@ -50,17 +49,13 @@ TEST(IndexConsistencyTest, GradingEnginesOverTheFuzzCorpus) {
     const GoodMachineCheckpoint ck =
         GoodMachineCheckpoint::record(w.net, w.seq, base);
     for (const bool drop : {true, false}) {
-      for (const std::uint32_t lanes : {1u, 32u}) {
-        SCOPED_TRACE(testing::Message()
-                     << "drop " << drop << " laneWidth " << lanes);
-        FsimOptions opts = base;
-        opts.dropDetected = drop;
-        opts.laneWidth = lanes;
-        runChecked(w, opts, nullptr);
-        // A replaying engine exits early once every circuit is dropped, so
-        // it may check fewer patterns; it must check at least one.
-        EXPECT_GE(runChecked(w, opts, &ck), 1u);
-      }
+      SCOPED_TRACE(testing::Message() << "drop " << drop);
+      FsimOptions opts = base;
+      opts.dropDetected = drop;
+      runChecked(w, opts, nullptr);
+      // A replaying engine exits early once every circuit is dropped, so
+      // it may check fewer patterns; it must check at least one.
+      EXPECT_GE(runChecked(w, opts, &ck), 1u);
     }
   }
 }
@@ -84,12 +79,8 @@ TEST(IndexConsistencyTest, RamGradingWithAndWithoutReplay) {
   w.faults.append(allTransistorStuckFaults(ram.net));
   const GoodMachineCheckpoint ck =
       GoodMachineCheckpoint::record(w.net, w.seq, FsimOptions{});
-  for (const std::uint32_t lanes : {1u, 32u}) {
-    FsimOptions opts;
-    opts.laneWidth = lanes;
-    EXPECT_EQ(runChecked(w, opts, nullptr), seq.size());
-    EXPECT_GE(runChecked(w, opts, &ck), 1u);
-  }
+  EXPECT_EQ(runChecked(w, FsimOptions{}, nullptr), seq.size());
+  EXPECT_GE(runChecked(w, FsimOptions{}, &ck), 1u);
 }
 
 TEST(IndexConsistencyTest, SeuEnginesNaiveAndTailResumed) {
@@ -107,42 +98,39 @@ TEST(IndexConsistencyTest, SeuEnginesNaiveAndTailResumed) {
     const GoodMachineCheckpoint ck =
         GoodMachineCheckpoint::record(w.net, w.seq, FsimOptions{});
     for (const bool drop : {true, false}) {
-      for (const std::uint32_t lanes : {1u, 32u}) {
-        FsimOptions opts;
-        opts.dropDetected = drop;
-        opts.laneWidth = lanes;
-        // Naive: every injection in one engine, each at its own instant.
-        {
-          ConcurrentFaultSimulator sim(
-              w.net, static_cast<std::uint32_t>(campaign.size()), opts);
+      FsimOptions opts;
+      opts.dropDetected = drop;
+      // Naive: every injection in one engine, each at its own instant.
+      {
+        ConcurrentFaultSimulator sim(
+            w.net, static_cast<std::uint32_t>(campaign.size()), opts);
+        sim.checkIndexes();
+        std::uint32_t checked = 0;
+        sim.runTransient(w.seq, campaign, [&](const PatternStat&) {
           sim.checkIndexes();
-          std::uint32_t checked = 0;
-          sim.runTransient(w.seq, campaign, [&](const PatternStat&) {
-            sim.checkIndexes();
-            ++checked;
-          });
-          EXPECT_EQ(checked, w.seq.size());
+          ++checked;
+        });
+        EXPECT_EQ(checked, w.seq.size());
+      }
+      // Tail-resumed: one engine per instant, resumed from the checkpoint.
+      std::vector<std::uint64_t> instants;
+      for (const TransientFault& f : campaign) {
+        if (std::find(instants.begin(), instants.end(), f.atPattern) ==
+            instants.end()) {
+          instants.push_back(f.atPattern);
         }
-        // Tail-resumed: one engine per instant, resumed from the checkpoint.
-        std::vector<std::uint64_t> instants;
+      }
+      for (const std::uint64_t at : instants) {
+        std::vector<TransientFault> group;
         for (const TransientFault& f : campaign) {
-          if (std::find(instants.begin(), instants.end(), f.atPattern) ==
-              instants.end()) {
-            instants.push_back(f.atPattern);
-          }
+          if (f.atPattern == at) group.push_back(f);
         }
-        for (const std::uint64_t at : instants) {
-          std::vector<TransientFault> group;
-          for (const TransientFault& f : campaign) {
-            if (f.atPattern == at) group.push_back(f);
-          }
-          ConcurrentFaultSimulator sim(
-              w.net, static_cast<std::uint32_t>(group.size()), opts, &ck, at);
-          sim.checkIndexes();
-          sim.runTransientTail(group,
-                               [&](const PatternStat&) { sim.checkIndexes(); });
-          sim.checkIndexes();
-        }
+        ConcurrentFaultSimulator sim(
+            w.net, static_cast<std::uint32_t>(group.size()), opts, &ck, at);
+        sim.checkIndexes();
+        sim.runTransientTail(group,
+                             [&](const PatternStat&) { sim.checkIndexes(); });
+        sim.checkIndexes();
       }
     }
   }

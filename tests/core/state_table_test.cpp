@@ -124,47 +124,7 @@ TEST(StateTableTest, LookupReportsDivergenceOnlyWhenRecorded) {
 // --- lane encoding ---------------------------------------------------------
 //
 // The table packs 32 circuits' ternary states into one 64-bit word (2 bits
-// per lane). These tests pin the SWAR helpers and the word-wide operations
-// (commitLanes / matchLanes) to a straightforward per-circuit reference.
-
-TEST(StateTableLanesTest, SwarHelpersRoundTrip) {
-  // spread2/compressEven are inverse Morton shuffles.
-  for (const std::uint32_t mask :
-       {0u, 1u, 0x80000000u, 0xAAAAAAAAu, 0x12345678u, 0xFFFFFFFFu}) {
-    const std::uint64_t field = lanes::spread2(mask);
-    EXPECT_EQ(lanes::compressEven(field), mask);
-    // Both bits of every selected lane are set, no others.
-    EXPECT_EQ(field & ~(lanes::spread2(mask)), 0u);
-    for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
-      const std::uint64_t lane = (field >> (2 * l)) & 3u;
-      EXPECT_EQ(lane, ((mask >> l) & 1u) ? 3u : 0u);
-    }
-  }
-  // splat2 puts the state value in every lane; laneState reads it back.
-  for (const State v : {State::S0, State::S1, State::SX}) {
-    const std::uint64_t bits = lanes::splat2(v);
-    for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
-      EXPECT_EQ(lanes::laneState(bits, l), v);
-    }
-  }
-}
-
-TEST(StateTableLanesTest, EqLanesMatchesPerLaneComparison) {
-  Rng rng(123);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::uint64_t bits = 0;
-    for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
-      bits |= static_cast<std::uint64_t>(rng.below(3)) << (2 * l);
-    }
-    for (const State v : {State::S0, State::S1, State::SX}) {
-      const std::uint32_t got = lanes::eqLanes(bits, v);
-      for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
-        const bool expect = lanes::laneState(bits, l) == v;
-        EXPECT_EQ(((got >> l) & 1u) != 0, expect) << "lane " << l;
-      }
-    }
-  }
-}
+// per lane); circuit ids map to (group, lane) and back.
 
 TEST(StateTableLanesTest, LaneIndexingCrossesGroupBoundaries) {
   EXPECT_EQ(lanes::groupOf(1), 0u);
@@ -190,81 +150,6 @@ TEST(StateTableLanesTest, LaneIndexingCrossesGroupBoundaries) {
   EXPECT_FALSE(t.hasRecord(NodeId(0), 2));
   EXPECT_FALSE(t.hasRecord(NodeId(0), 31));
   EXPECT_FALSE(t.hasRecord(NodeId(0), 34));
-}
-
-TEST(StateTableLanesTest, CommitLanesEqualsPerCircuitReconcile) {
-  const Network net = twoNodeNet();
-  Rng rng(456);
-  const auto randomState = [&] {
-    const std::uint32_t r = rng.below(3);
-    return r == 0 ? State::S0 : r == 1 ? State::S1 : State::SX;
-  };
-  for (int trial = 0; trial < 300; ++trial) {
-    StateTable word(net);
-    StateTable scalar(net);
-    const State g = randomState();
-    word.setGood(NodeId(0), g);
-    scalar.setGood(NodeId(0), g);
-    // Seed both tables identically with per-circuit reconciles.
-    for (int k = 0; k < 8; ++k) {
-      const CircuitId c = 1 + rng.below(64);
-      const State v = randomState();
-      word.reconcile(NodeId(0), c, v);
-      scalar.reconcile(NodeId(0), c, v);
-    }
-    // One word-wide commit vs the per-circuit loop.
-    const std::uint32_t group = rng.below(2);
-    const std::uint32_t mask = rng.next() & 0xFFFFFFFFu;
-    const State v = randomState();
-    const StateTable::LaneCommit lc =
-        word.commitLanes(NodeId(0), group, mask, v);
-    std::uint32_t insertedRef = 0;
-    std::uint32_t erasedRef = 0;
-    for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
-      if (((mask >> l) & 1u) == 0) continue;
-      const StateTable::Reconciled r =
-          scalar.reconcile(NodeId(0), lanes::circuitAt(group, l), v);
-      if (r.inserted) insertedRef |= 1u << l;
-      if (r.erased) erasedRef |= 1u << l;
-    }
-    EXPECT_EQ(lc.insertedMask, insertedRef);
-    EXPECT_EQ(lc.erasedMask, erasedRef);
-    EXPECT_EQ(word.totalRecords(), scalar.totalRecords());
-    for (CircuitId c = 1; c <= 64; ++c) {
-      EXPECT_EQ(word.stateOf(NodeId(0), c), scalar.stateOf(NodeId(0), c));
-      EXPECT_EQ(word.hasRecord(NodeId(0), c), scalar.hasRecord(NodeId(0), c));
-    }
-  }
-}
-
-TEST(StateTableLanesTest, MatchLanesEqualsPerCircuitComparison) {
-  const Network net = twoNodeNet();
-  Rng rng(789);
-  const auto randomState = [&] {
-    const std::uint32_t r = rng.below(3);
-    return r == 0 ? State::S0 : r == 1 ? State::S1 : State::SX;
-  };
-  for (int trial = 0; trial < 300; ++trial) {
-    StateTable t(net);
-    t.setGood(NodeId(0), randomState());
-    for (int k = 0; k < 10; ++k) {
-      t.reconcile(NodeId(0), 1 + rng.below(64), randomState());
-    }
-    const std::uint32_t group = rng.below(2);
-    const std::uint32_t cand = rng.next() & 0xFFFFFFFFu;
-    const State v = randomState();
-    // Background is the caller's fallback for recordless lanes and may
-    // differ from the table's current good state (pre-phase lens).
-    const State bg = randomState();
-    const std::uint32_t got = t.matchLanes(NodeId(0), group, cand, v, bg);
-    for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
-      const CircuitId c = lanes::circuitAt(group, l);
-      const StateTable::Lookup r = t.lookup(NodeId(0), c);
-      const State observed = r.diverges ? r.value : bg;
-      const bool expect = ((cand >> l) & 1u) != 0 && observed == v;
-      EXPECT_EQ(((got >> l) & 1u) != 0, expect) << "lane " << l;
-    }
-  }
 }
 
 // --- arena parity ----------------------------------------------------------
@@ -400,7 +285,7 @@ TEST(StateTableArenaTest, GroupMaskStaysExactWhenGroupsAlias) {
         m.erase(c);
         break;
       }
-      case 3: {  // drop the whole group's lanes at once (block removal)
+      case 3: {  // drop every lane of the group (block removal)
         std::uint32_t mask = 0;
         for (auto it = m.begin(); it != m.end();) {
           if (lanes::groupOf(it->first) == group) {
@@ -410,9 +295,11 @@ TEST(StateTableArenaTest, GroupMaskStaysExactWhenGroupsAlias) {
             ++it;
           }
         }
-        const StateTable::LaneCommit lc =
-            t.commitLanes(n, group, 0xffffffffu, State::S0);
-        EXPECT_EQ(lc.erasedMask, mask);
+        std::uint32_t erased = 0;
+        for (std::uint32_t l = 0; l < lanes::kLaneCount; ++l) {
+          if (t.erase(n, lanes::circuitAt(group, l))) erased |= 1u << l;
+        }
+        EXPECT_EQ(erased, mask);
         break;
       }
     }

@@ -200,6 +200,24 @@ TEST(WorkloadSpecTest, RejectsMalformedSeuSpecs) {
                Error);
 }
 
+// Lane width is no longer a workload field. Older clients that still send
+// "laneWidth" are served as if the key were absent (it never changed a
+// result), and the spec never emits it.
+TEST(WorkloadSpecTest, IgnoresTheRetiredLaneWidthKey) {
+  JsonValue plain = JsonValue::makeObject();
+  plain.set("kind", JsonValue::makeString("gen"));
+  plain.set("nodes", JsonValue::makeU64(20));
+  plain.set("jobs", JsonValue::makeU64(3));
+  const std::string want = WorkloadSpec::fromJson(plain).toJson().dump();
+  EXPECT_EQ(want.find("laneWidth"), std::string::npos) << want;
+  for (const std::uint64_t width : {32u, 3u}) {
+    JsonValue withKey = JsonValue::parse(plain.dump());
+    withKey.set("laneWidth", JsonValue::makeU64(width));
+    EXPECT_EQ(WorkloadSpec::fromJson(withKey).toJson().dump(), want)
+        << "laneWidth " << width;
+  }
+}
+
 TEST(JobResultTest, RoundTripsThroughJson) {
   JobResult r;
   r.checksum = 0xabcdef0123456789ULL;
@@ -239,7 +257,7 @@ TEST(WorkloadSpecTest, RejectsU32FieldsPastTheirRangeInsteadOfTruncating) {
   };
   const std::pair<const char*, const char*> fields[] = {
       {"gen", "nodes"},         {"gen", "inputs"},     {"gen", "faults"},
-      {"gen", "laneWidth"},     {"gen", "jobs"},       {"seu", "seuInjections"},
+      {"gen", "jobs"},          {"seu", "seuInjections"},
       {"seu", "seuInstants"}};
   for (const auto& [kind, key] : fields) {
     SCOPED_TRACE(key);
@@ -256,7 +274,7 @@ TEST(WorkloadSpecTest, RejectsU32FieldsPastTheirRangeInsteadOfTruncating) {
   // admission limits do not bound).
   EXPECT_EQ(parseWith("seu", "seuInstants", 0xffffffffull).seuInstants,
             0xffffffffu);
-  EXPECT_EQ(parseWith("gen", "laneWidth", 16).laneWidth, 16u);
+  EXPECT_EQ(parseWith("gen", "jobs", 16).jobs, 16u);
   EXPECT_EQ(parseWith("seu", "seuInstants", 3).seuInstants, 3u);
 }
 
