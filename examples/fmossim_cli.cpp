@@ -149,6 +149,19 @@ int usage(const char* argv0) {
   return 2;
 }
 
+// Every subcommand parser names the flag it rejects before printing its
+// usage text, so a long command line does not have to be searched by hand.
+void rejectFlag(const std::string& arg) {
+  std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
+}
+
+// A flag value outside its fixed set: name the value and the choices.
+int badValue(const char* flag, const std::string& value, const char* want) {
+  std::fprintf(stderr, "invalid value '%s' for %s (want %s)\n", value.c_str(),
+               flag, want);
+  return 2;
+}
+
 // Byte-size parse for --checkpoint-budget: plain bytes or a k/m/g suffix
 // (binary units). Strict like the other numeric parsers: trailing garbage
 // is an error, not a silently truncated budget.
@@ -289,8 +302,9 @@ int runFuzz(int argc, char** argv) {
       const std::string p = next();
       if (p == "any") policy = DetectionPolicy::AnyDifference;
       else if (p == "definite") policy = DetectionPolicy::DefiniteOnly;
-      else return fuzzUsage(argv[0]);
+      else return badValue("--policy", p, "any or definite");
     } else {
+      rejectFlag(arg);
       return fuzzUsage(argv[0]);
     }
   }
@@ -433,7 +447,10 @@ int runBench(int argc, char** argv) {
     else if (arg == "--list") list = true;
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--help") return benchUsage(stdout, argv[0]);
-    else return benchUsage(stderr, argv[0]);
+    else {
+      rejectFlag(arg);
+      return benchUsage(stderr, argv[0]);
+    }
   }
   if (config.reps == 0) {
     std::fprintf(stderr, "--reps must be >= 1\n");
@@ -595,7 +612,10 @@ int runServe(int argc, char** argv) {
     }
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--help") return serveUsage(stdout, argv[0]);
-    else return serveUsage(stderr, argv[0]);
+    else {
+      rejectFlag(arg);
+      return serveUsage(stderr, argv[0]);
+    }
   }
   if (socketPath.empty()) {
     std::fprintf(stderr, "serve: --socket PATH is required\n");
@@ -726,7 +746,10 @@ int runLoadgen(int argc, char** argv) {
     }
     else if (arg == "--quiet") opts.quiet = true;
     else if (arg == "--help") return loadgenUsage(stdout, argv[0]);
-    else return loadgenUsage(stderr, argv[0]);
+    else {
+      rejectFlag(arg);
+      return loadgenUsage(stderr, argv[0]);
+    }
   }
   if (opts.socketPath.empty() && !opts.inproc) {
     std::fprintf(stderr, "loadgen: --socket PATH or --inproc is required\n");
@@ -831,13 +854,16 @@ int runSeu(int argc, char** argv) {
       const std::string p = next();
       if (p == "any") opts.policy = DetectionPolicy::AnyDifference;
       else if (p == "definite") opts.policy = DetectionPolicy::DefiniteOnly;
-      else return seuUsage(stderr, argv[0]);
+      else return badValue("--policy", p, "any or definite");
     } else if (arg == "--naive") naive = true;
     else if (arg == "--verify") verify = true;
     else if (arg == "--checkpoint-budget") {
       opts.checkpointBudgetBytes = parseByteSize(next(), "--checkpoint-budget");
     } else if (arg == "--quiet") quiet = true;
-    else return seuUsage(stderr, argv[0]);
+    else {
+      rejectFlag(arg);
+      return seuUsage(stderr, argv[0]);
+    }
   }
   if (!demo && !simFile && !benchFile) return seuUsage(stderr, argv[0]);
   if (!demo && !seqFile) return seuUsage(stderr, argv[0]);
@@ -1019,7 +1045,7 @@ int main(int argc, char** argv) {
       const std::string b = next();
       if (b == "serial") opts.backend = Backend::Serial;
       else if (b == "concurrent") opts.backend = Backend::Concurrent;
-      else return usage(argv[0]);
+      else return badValue("--backend", b, "serial or concurrent");
     } else if (arg == "--jobs") {
       opts.jobs = parsePositiveCount(next(), "--jobs", 1u << 16);
     } else if (arg == "--batch-faults") {
@@ -1045,13 +1071,14 @@ int main(int argc, char** argv) {
       const std::string p = next();
       if (p == "any") opts.policy = DetectionPolicy::AnyDifference;
       else if (p == "definite") opts.policy = DetectionPolicy::DefiniteOnly;
-      else return usage(argv[0]);
+      else return badValue("--policy", p, "any or definite");
     } else if (arg == "--serial") {
       std::fprintf(stderr,
                    "--serial was replaced: use --backend serial, or --compare "
                    "to cross-check both backends\n");
       return 2;
     } else {
+      rejectFlag(arg);
       return usage(argv[0]);
     }
   }

@@ -37,7 +37,6 @@ std::unique_ptr<FaultSimulator> Engine::makeBackend() const {
       fopts.sim = options_.sim;
       fopts.policy = options_.policy;
       fopts.dropDetected = options_.dropDetected;
-      fopts.checkpointReadAhead = options_.checkpointReadAhead;
       fopts.debugLoseTriggerEvery = options_.debugLoseTriggerEvery;
       if (options_.jobs > 1 && faults_.size() > 1) {
         return std::make_unique<ShardedRunner>(

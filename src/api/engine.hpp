@@ -100,11 +100,6 @@ struct EngineOptions {
   /// after every sharded run, so history survives process restarts. Empty
   /// disables the sidecar.
   std::string historyFile;
-  /// Opt-in async read-ahead of the next settle chunk during checkpoint
-  /// replay (forwarded to FsimOptions::checkpointReadAhead; meaningful only
-  /// when the checkpoint store spills under a budget). Bit-identical
-  /// results; costs up to one extra resident chunk per replaying engine.
-  bool checkpointReadAhead = false;
   /// Forwarded to FsimOptions::debugLoseTriggerEvery (concurrent backends
   /// only): the differential-fuzzing oracle's self-test bug injector. 0 = off.
   std::uint32_t debugLoseTriggerEvery = 0;

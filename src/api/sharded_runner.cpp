@@ -46,7 +46,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> ShardedRunner::makeBatches(
 FaultSimResult mergeShardResults(
     const std::vector<FaultSimResult>& shardResults,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& slices,
-    std::uint32_t numPatterns, const GoodMachineCheckpoint* good,
+    std::uint64_t numPatterns, const GoodMachineCheckpoint* good,
     const std::vector<std::uint32_t>* order) {
   FaultSimResult merged;
   std::uint32_t numFaults = 0;
@@ -59,9 +59,16 @@ FaultSimResult mergeShardResults(
   }
   merged.detectedAtPattern.assign(numFaults, -1);
 
-  merged.perPattern.resize(numPatterns);
-  for (std::uint32_t pi = 0; pi < numPatterns; ++pi) {
-    merged.perPattern[pi].index = pi;
+  // Rows are merged only when the shards carry them; rowless (streamed)
+  // shards leave the merged result rowless too.
+  const bool rows = std::any_of(
+      shardResults.begin(), shardResults.end(),
+      [](const FaultSimResult& r) { return !r.perPattern.empty(); });
+  if (rows) {
+    merged.perPattern.resize(numPatterns);
+    for (std::uint64_t pi = 0; pi < numPatterns; ++pi) {
+      merged.perPattern[pi].index = static_cast<std::uint32_t>(pi);
+    }
   }
 
   for (std::size_t s = 0; s < shardResults.size(); ++s) {
@@ -94,7 +101,8 @@ FaultSimResult mergeShardResults(
     // mid-run fault injection this derivation, and the sum, must change.)
     merged.maxAlive += r.maxAlive;
     merged.finalRecords += r.finalRecords;
-    for (std::uint32_t pi = 0; pi < numPatterns && pi < r.perPattern.size();
+    for (std::size_t pi = 0; pi < merged.perPattern.size() &&
+                             pi < r.perPattern.size();
          ++pi) {
       PatternStat& row = merged.perPattern[pi];
       const PatternStat& src = r.perPattern[pi];
@@ -111,8 +119,8 @@ FaultSimResult mergeShardResults(
     merged.finalGoodStates = good->finalGoodStates();
     merged.totalNodeEvals += good->totalGoodEvals();
     const auto& goodEvals = good->perPatternGoodEvals();
-    for (std::uint32_t pi = 0; pi < numPatterns && pi < goodEvals.size();
-         ++pi) {
+    for (std::size_t pi = 0;
+         pi < merged.perPattern.size() && pi < goodEvals.size(); ++pi) {
       merged.perPattern[pi].nodeEvals += goodEvals[pi];
     }
   }
@@ -124,16 +132,30 @@ FaultSimResult mergeShardResults(
   return merged;
 }
 
-double ShardedRunner::ensureCheckpoint(const TestSequence& seq,
-                                       std::uint64_t seqFingerprint) {
-  if (checkpoint_ != nullptr && checkpoint_->seqFingerprint() == seqFingerprint) {
+double ShardedRunner::ensureCheckpoint(const TestSequence& seq) {
+  // Hashed once: the cache check and the store lookup share it.
+  const std::uint64_t fp = GoodMachineCheckpoint::fingerprint(seq);
+  // A streamed recording lacks the per-pattern good evaluations the
+  // materialized merge adds back, so only a materialized one is reused.
+  if (checkpoint_ != nullptr && !checkpoint_->streamed() &&
+      checkpoint_->seqFingerprint() == fp) {
     return 0.0;
   }
   // Charge the recording time to the run that actually recorded; cache
   // hits (in this runner or a shared store) cost nothing.
   bool recordedNow = false;
-  checkpoint_ =
-      store_->acquire(net_, seq, seqFingerprint, options_, &recordedNow);
+  checkpoint_ = store_->acquire(net_, seq, fp, options_, &recordedNow);
+  return recordedNow ? checkpoint_->recordSeconds() : 0.0;
+}
+
+double ShardedRunner::ensureCheckpointStream(PatternSource& source) {
+  const std::uint64_t fp = source.fingerprint();
+  if (checkpoint_ != nullptr && checkpoint_->streamed() &&
+      checkpoint_->seqFingerprint() == fp) {
+    return 0.0;
+  }
+  bool recordedNow = false;
+  checkpoint_ = store_->acquireStream(net_, source, options_, &recordedNow);
   return recordedNow ? checkpoint_->recordSeconds() : 0.0;
 }
 
@@ -169,9 +191,13 @@ void ShardedRunner::publishHistory(const FaultSimResult& merged) const {
   }
 }
 
-std::vector<FaultSimResult> ShardedRunner::runReplayBatches(
-    const sched::BatchPlan& plan,
-    const std::function<FaultSimResult(ConcurrentFaultSimulator&)>& runOne) {
+FaultSimResult ShardedRunner::runBatches(const Timer& total,
+                                         double recordSeconds, bool rows) {
+  // The batch schedule is sized for the workers that will actually run (see
+  // the hardware cap below), so a 1-core machine does not pay 4 cores' worth
+  // of per-batch replay overhead.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const sched::BatchPlan plan = buildPlan(std::min(jobs_, hw));
   const std::vector<std::pair<std::uint32_t, std::uint32_t>>& batches =
       plan.slices;
   std::vector<FaultSimResult> batchResults(batches.size());
@@ -195,9 +221,15 @@ std::vector<FaultSimResult> ShardedRunner::runReplayBatches(
         }
       }
       FaultList batch(std::move(gathered));
+      // Every batch replays entirely from the trace: workers never touch
+      // the sequence or the source.
       ConcurrentFaultSimulator sim(net_, batch, options_, nullptr,
                                    checkpoint_.get());
-      batchResults[b] = runOne(sim);
+      std::vector<PatternStat> perPattern;
+      if (rows) perPattern.reserve(checkpoint_->numPatterns());
+      MaterializingRowSink sink(perPattern);
+      batchResults[b] = sim.runReplay(rows ? &sink : nullptr);
+      batchResults[b].perPattern = std::move(perPattern);
     }
   };
 
@@ -205,7 +237,6 @@ std::vector<FaultSimResult> ShardedRunner::runReplayBatches(
   // decouples batch count from worker count), so the effective worker count
   // is capped at the hardware's concurrency. Results are identical for any
   // worker and batch count.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned workers = std::min<std::size_t>(
       std::min(jobs_, hw), std::max<std::size_t>(1, batches.size()));
   if (workers <= 1) {
@@ -228,93 +259,33 @@ std::vector<FaultSimResult> ShardedRunner::runReplayBatches(
       if (e) std::rethrow_exception(e);
     }
   }
-  return batchResults;
+
+  FaultSimResult merged = mergeShardResults(
+      batchResults, plan.slices, checkpoint_->numPatterns(), checkpoint_.get(),
+      plan.order.empty() ? nullptr : &plan.order);
+  merged.droppedDetected = options_.dropDetected;
+  merged.totalSeconds = total.seconds();
+  merged.totalCpuSeconds += recordSeconds;
+  publishHistory(merged);
+  return merged;
 }
 
 FaultSimResult ShardedRunner::run(const TestSequence& seq,
                                   const PatternCallback& onPattern) {
   Timer total;
-  // Hashed once: the store lookup and every batch engine's checkpoint check
-  // reuse it.
-  const std::uint64_t seqFp = GoodMachineCheckpoint::fingerprint(seq);
-  const double recordSeconds = ensureCheckpoint(seq, seqFp);
-  // The batch schedule is sized for the workers that will actually run (see
-  // runReplayBatches' hardware cap), so a 1-core machine does not pay 4
-  // cores' worth of per-batch replay overhead.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned effective = std::min(jobs_, hw);
-  const sched::BatchPlan plan = buildPlan(effective);
-
-  const std::vector<FaultSimResult> batchResults = runReplayBatches(
-      plan, [&seq, seqFp](ConcurrentFaultSimulator& sim) {
-        return sim.run(seq, seqFp);
-      });
-
-  FaultSimResult merged =
-      mergeShardResults(batchResults, plan.slices, seq.size(),
-                        checkpoint_.get(),
-                        plan.order.empty() ? nullptr : &plan.order);
-  merged.droppedDetected = options_.dropDetected;
-  merged.totalSeconds = total.seconds();
-  merged.totalCpuSeconds += recordSeconds;
-  publishHistory(merged);
+  const double recordSeconds = ensureCheckpoint(seq);
+  FaultSimResult merged = runBatches(total, recordSeconds, /*rows=*/true);
   if (onPattern) {
     for (const PatternStat& st : merged.perPattern) onPattern(st);
   }
   return merged;
 }
 
-double ShardedRunner::ensureCheckpointStream(PatternSource& source) {
-  const std::uint64_t fp = source.fingerprint();
-  if (checkpoint_ != nullptr && checkpoint_->streamed() &&
-      checkpoint_->seqFingerprint() == fp) {
-    return 0.0;
-  }
-  bool recordedNow = false;
-  checkpoint_ = store_->acquireStream(net_, source, options_, &recordedNow);
-  return recordedNow ? checkpoint_->recordSeconds() : 0.0;
-}
-
 FaultSimResult ShardedRunner::runStream(PatternSource& source, RowSink* sink,
                                         const PatternCallback& onPattern) {
   Timer total;
   const double recordSeconds = ensureCheckpointStream(source);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned effective = std::min(jobs_, hw);
-  const sched::BatchPlan plan = buildPlan(effective);
-
-  // Workers replay entirely from the trace — the source was consumed once by
-  // the recording and is never touched again.
-  const std::vector<FaultSimResult> batchResults = runReplayBatches(
-      plan, [](ConcurrentFaultSimulator& sim) { return sim.runReplay(); });
-
-  // Rowless merge: the materialized merge's per-pattern row summing (and its
-  // perPatternGoodEvals add-back, which streamed recordings do not carry) is
-  // skipped; everything else matches mergeShardResults.
-  FaultSimResult merged;
-  merged.numFaults = faults_.size();
-  merged.numPatterns = checkpoint_->numPatterns();
-  merged.droppedDetected = options_.dropDetected;
-  merged.detectedAtPattern.assign(merged.numFaults, -1);
-  for (std::size_t b = 0; b < batchResults.size(); ++b) {
-    const FaultSimResult& r = batchResults[b];
-    const auto [begin, end] = plan.slices[b];
-    for (std::uint32_t i = 0; i < end - begin; ++i) {
-      merged.detectedAtPattern[plan.globalIndex(begin + i)] =
-          r.detectedAtPattern[i];
-    }
-    merged.numDetected += r.numDetected;
-    merged.potentialDetections += r.potentialDetections;
-    merged.totalNodeEvals += r.totalNodeEvals;
-    merged.totalCpuSeconds += r.totalCpuSeconds;
-    merged.maxAlive += r.maxAlive;
-    merged.finalRecords += r.finalRecords;
-  }
-  merged.finalGoodStates = checkpoint_->finalGoodStates();
-  merged.totalNodeEvals += checkpoint_->totalGoodEvals();
-  merged.totalSeconds = total.seconds();
-  merged.totalCpuSeconds += recordSeconds;
-  publishHistory(merged);
+  FaultSimResult merged = runBatches(total, recordSeconds, /*rows=*/false);
   if (sink != nullptr || onPattern) {
     // Derived rows: triples exact, per-row timing/work zero (see
     // core/row_sink.hpp).

@@ -60,6 +60,7 @@
 #include "core/checkpoint.hpp"
 #include "core/checkpoint_store.hpp"
 #include "sched/fault_schedule.hpp"
+#include "util/timer.hpp"
 
 namespace fmossim {
 
@@ -164,12 +165,10 @@ class ShardedRunner : public FaultSimulator {
       std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults);
 
  private:
-  /// Fetches the checkpoint for `seq` from the store (recording on a cache
-  /// miss). Returns the recording seconds this call newly spent (0 on a
-  /// cache hit) for the totalCpuSeconds accounting.
-  /// `seqFingerprint` is GoodMachineCheckpoint::fingerprint(seq), hashed
-  /// once per run by the caller.
-  double ensureCheckpoint(const TestSequence& seq, std::uint64_t seqFingerprint);
+  /// Fetches the materialized checkpoint for `seq` from the store
+  /// (recording on a cache miss). Returns the recording seconds this call
+  /// newly spent (0 on a cache hit) for the totalCpuSeconds accounting.
+  double ensureCheckpoint(const TestSequence& seq);
   /// Streaming twin of ensureCheckpoint: keyed on the source fingerprint,
   /// recording through the store's streaming path on a miss.
   double ensureCheckpointStream(PatternSource& source);
@@ -182,12 +181,14 @@ class ShardedRunner : public FaultSimulator {
   /// sidecar file (whichever are attached) so the next run can schedule on
   /// it — contiguous runs feed history runs.
   void publishHistory(const FaultSimResult& merged) const;
-  /// Replays every batch of the plan against checkpoint_ across the worker
-  /// pool: batch b gathers its faults through plan.order (slice positions →
-  /// global fault indices) and carries its hint windows in its FsimOptions.
-  std::vector<FaultSimResult> runReplayBatches(
-      const sched::BatchPlan& plan,
-      const std::function<FaultSimResult(ConcurrentFaultSimulator&)>& runOne);
+  /// The body of run() and runStream(): plans the batches, replays each one
+  /// from checkpoint_'s trace across the worker pool (batch b gathers its
+  /// faults through plan.order, slice positions to global fault indices),
+  /// merges, stamps the wall clock from `total` and adds `recordSeconds` to
+  /// the engine time, and publishes the detection record. `rows` selects a
+  /// materialized merge (per-batch rows summed) or a rowless one.
+  FaultSimResult runBatches(const Timer& total, double recordSeconds,
+                            bool rows);
 
   const Network& net_;
   FaultList faults_;
@@ -215,11 +216,13 @@ class ShardedRunner : public FaultSimulator {
 /// sequence start, so it equals a jobs=1 run's exactly — see
 /// FaultSimResult::maxAlive); totalCpuSeconds and per-pattern seconds sum
 /// across batches, while the caller stamps totalSeconds with the real wall
-/// clock. Exposed for the merge-logic unit tests.
+/// clock. Rowless shards (streamed runs) merge into a rowless result; rows
+/// are summed only when the shards carry them. Exposed for the merge-logic
+/// unit tests.
 FaultSimResult mergeShardResults(
     const std::vector<FaultSimResult>& shardResults,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& slices,
-    std::uint32_t numPatterns, const GoodMachineCheckpoint* good = nullptr,
+    std::uint64_t numPatterns, const GoodMachineCheckpoint* good = nullptr,
     const std::vector<std::uint32_t>* order = nullptr);
 
 }  // namespace fmossim

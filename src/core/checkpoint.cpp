@@ -433,12 +433,6 @@ GoodMachineCheckpoint::loadBlock(std::uint32_t c) const {
 CheckpointReader::CheckpointReader(const GoodMachineCheckpoint& ck)
     : ck_(&ck) {}
 
-CheckpointReader::~CheckpointReader() {
-  // Join an in-flight prefetch: its task touches the checkpoint's window
-  // cache and must not outlive this reader's caller's view of the world.
-  if (prefetch_.valid()) prefetch_.wait();
-}
-
 void CheckpointReader::enterSettle(std::uint32_t i) {
   FMOSSIM_ASSERT(i < ck_->numSettles(), "reader settle index out of range");
   if (ck_->spill_ == nullptr) {
@@ -470,27 +464,8 @@ void CheckpointReader::enterSettle(std::uint32_t i) {
       std::upper_bound(fs.begin(), fs.end(), i) - fs.begin() - 1);
   if (pin_ == nullptr || chunk_ != c) {
     pin_.reset();
-    if (prefetch_.valid()) {
-      // Collect the prefetched block either way: a hit is the new pin (the
-      // off-thread decode already inserted it into the window cache — this
-      // get() only transfers the pin); a miss (non-sequential access) must
-      // still be joined before loading, or two loads could race for the
-      // same reader's budget slot.
-      auto fetched = prefetch_.get();
-      if (readAhead_ && prefetchChunk_ == c) pin_ = std::move(fetched);
-    }
-    if (pin_ == nullptr) pin_ = ck_->loadBlock(c);
+    pin_ = ck_->loadBlock(c);
     chunk_ = c;
-    if (readAhead_ && c + 1 < ck_->spill_->firstSettle.size()) {
-      // Kick off the next chunk's load-and-decode off-thread. loadBlock is
-      // const and internally synchronized; the returned pin keeps the
-      // prefetched chunk evictable-but-resident until the switch above
-      // claims or drops it.
-      prefetchChunk_ = c + 1;
-      prefetch_ = std::async(std::launch::async, [ck = ck_, next = c + 1] {
-        return ck->loadBlock(next);
-      });
-    }
   }
   const GoodMachineCheckpoint::Settle& s = pin_->settles[i - fs[c]];
   phaseCount_ = s.phaseCount;

@@ -16,9 +16,9 @@
 //     the span of phases it ran, so replay keeps the global phase counter —
 //     and therefore oscillation-coercion timing — bit-aligned with an
 //     unsharded run, plus the input-node changes applied just before it —
-//     so replay can drive the whole sequence from the trace alone
-//     (ConcurrentFaultSimulator::runReplay), without a materialized
-//     TestSequence;
+//     so replay can drive the whole sequence from the trace alone (every
+//     replay-mode run of ConcurrentFaultSimulator, and runReplay without a
+//     materialized TestSequence at all);
 //   * per pattern: which settle ends it (one bit per settle) and the
 //     observed outputs, so replay knows when to observe; for materialized
 //     recordings additionally the good machine's logical node-evaluation
@@ -55,7 +55,6 @@
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -153,7 +152,8 @@ class GoodMachineCheckpoint {
   /// materializing the sequence — resident memory is flat in the sequence
   /// length when a spill budget is given. The resulting checkpoint is
   /// `streamed()`: it omits the per-pattern good-eval array (a per-pattern
-  /// resident cost), so it serves streaming replays (runReplay) but not the
+  /// resident cost), so it serves rowless trace-driven replays
+  /// (ConcurrentFaultSimulator::runReplay with a streamed merge) but not the
   /// materialized sharded merge, which needs that array.
   static GoodMachineCheckpoint record(const Network& net, PatternSource& source,
                                       const FsimOptions& options,
@@ -328,23 +328,10 @@ class CheckpointReader {
  public:
   /// Binds to `ck` (must outlive the reader) without loading anything.
   explicit CheckpointReader(const GoodMachineCheckpoint& ck);
-  ~CheckpointReader();
 
   /// Positions the cursor on settle `i` (asserted in range). Sequential
   /// forward access is the fast path; any order is correct.
   void enterSettle(std::uint32_t i);
-
-  /// Opt-in asynchronous read-ahead (spilled checkpoints only; a no-op
-  /// otherwise): after each chunk switch the reader kicks off an off-thread
-  /// load-and-decode of the *next* chunk, so a sequential replay finds its
-  /// next block already decoded instead of blocking on pread + decode under
-  /// the replay's critical path. Hand-off goes through the existing window
-  /// cache synchronization (loadBlock), so concurrent readers stay safe.
-  /// Costs up to one extra resident chunk per reader while a prefetch is in
-  /// flight — default readers keep the documented one-chunk-per-reader
-  /// floor, which is why this is opt-in (FsimOptions::checkpointReadAhead).
-  /// Results are bit-identical either way.
-  void enableReadAhead() { readAhead_ = true; }
 
   /// Number of phases of the current settle.
   std::uint32_t phaseCount() const { return phaseCount_; }
@@ -375,12 +362,6 @@ class CheckpointReader {
   /// Pin on the current chunk (spilled mode only) and its index.
   std::shared_ptr<const GoodMachineCheckpoint::SettleBlock> pin_;
   std::uint32_t chunk_ = 0;
-  /// Read-ahead state (see enableReadAhead): the in-flight prefetch of
-  /// chunk `prefetchChunk_`, joined on chunk switch or in the destructor.
-  bool readAhead_ = false;
-  std::future<std::shared_ptr<const GoodMachineCheckpoint::SettleBlock>>
-      prefetch_;
-  std::uint32_t prefetchChunk_ = 0;
   const GoodMachineCheckpoint::Phase* phases_ = nullptr;
   const GoodMachineCheckpoint::VicinitySpan* vicBase_ = nullptr;
   const NodeId* memberBase_ = nullptr;

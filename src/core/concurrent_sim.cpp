@@ -140,7 +140,6 @@ ConcurrentFaultSimulator::ConcurrentFaultSimulator(
                  "machine count must match the fault list");
   if (replay_ != nullptr) {
     replayReader_ = std::make_unique<CheckpointReader>(*replay_);
-    if (options_.checkpointReadAhead) replayReader_->enableReadAhead();
   }
   if (transientMode_ && replay_ != nullptr) {
     // Tail resume: materialize the good machine right after the injection
@@ -307,9 +306,10 @@ void ConcurrentFaultSimulator::scheduleSettingSeeds(NodeId n, State /*oldGood*/)
 SettleResult ConcurrentFaultSimulator::settleAll() {
   if (record_ != nullptr) record_->beginSettle();
   if (replay_ != nullptr) {
-    // runReplay() enters the settle itself (it needs the reader positioned
-    // before settleAll, to apply the recorded input changes); consume that
-    // entry instead of advancing past it.
+    // A trace-driven pattern step enters the settle itself (it needs the
+    // reader positioned before settleAll, to apply the recorded input
+    // changes), and an in-place settle has no recorded settle of its own;
+    // consume that entry instead of advancing past it.
     if (!replayEntered_) replayBeginSettle();
     replayEntered_ = false;
   }
@@ -839,64 +839,136 @@ State ConcurrentFaultSimulator::faultyState(NodeId n, CircuitId c) const {
   return stateIn(n, c);
 }
 
-FaultSimResult ConcurrentFaultSimulator::run(const TestSequence& seq) {
-  return run(seq, nullptr);
-}
+// --- runs: one driver behind every entry point ------------------------------
+
+namespace {
+
+/// Hands each row to the run's sink and its onPattern callback: the one
+/// place a callback joins the row stream.
+class RowTee final : public RowSink {
+ public:
+  RowTee(RowSink* sink,
+         const std::function<void(const PatternStat&)>& onPattern)
+      : sink_(sink), onPattern_(onPattern) {}
+  void row(const PatternStat& st) override {
+    if (sink_ != nullptr) sink_->row(st);
+    if (onPattern_) onPattern_(st);
+  }
+
+ private:
+  RowSink* sink_;
+  const std::function<void(const PatternStat&)>& onPattern_;
+};
+
+}  // namespace
 
 FaultSimResult ConcurrentFaultSimulator::run(
     const TestSequence& seq,
     const std::function<void(const PatternStat&)>& onPattern) {
-  return runSequence(
-      seq, replay_ != nullptr ? GoodMachineCheckpoint::fingerprint(seq) : 0,
-      onPattern);
-}
-
-FaultSimResult ConcurrentFaultSimulator::run(const TestSequence& seq,
-                                             std::uint64_t seqFingerprint) {
-  return runSequence(seq, seqFingerprint, nullptr);
-}
-
-FaultSimResult ConcurrentFaultSimulator::runSequence(
-    const TestSequence& seq, std::uint64_t seqFingerprint,
-    const std::function<void(const PatternStat&)>& onPattern) {
-  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
   FMOSSIM_ASSERT(!transientMode_,
                  "transient-mode engines run via runTransient/runTransientTail");
-  ran_ = true;
   if (replay_ != nullptr) {
-    FMOSSIM_ASSERT(replay_->seqFingerprint() == seqFingerprint,
-                   "checkpoint was recorded for a different test sequence");
+    FMOSSIM_ASSERT(
+        replay_->seqFingerprint() == GoodMachineCheckpoint::fingerprint(seq),
+        "checkpoint was recorded for a different test sequence");
   }
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.numPatterns = seq.size();
-  res.droppedDetected = options_.dropDetected;
-  res.perPattern.reserve(seq.size());
+  std::vector<PatternStat> rows;
+  rows.reserve(seq.size());
+  MaterializingRowSink sink(rows);
+  MaterializedPatternSource source(seq);
+  FaultSimResult res =
+      drive(replay_ != nullptr ? nullptr : &source, &sink, onPattern);
+  res.perPattern = std::move(rows);
+  return res;
+}
+
+FaultSimResult ConcurrentFaultSimulator::run(
+    PatternSource& source, RowSink* sink,
+    const std::function<void(const PatternStat&)>& onPattern) {
+  FMOSSIM_ASSERT(!transientMode_,
+                 "transient-mode engines run via runTransient/runTransientTail");
+  return drive(&source, sink, onPattern);
+}
+
+FaultSimResult ConcurrentFaultSimulator::runReplay(
+    RowSink* sink, const std::function<void(const PatternStat&)>& onPattern) {
+  FMOSSIM_ASSERT(!transientMode_,
+                 "transient-mode engines run via runTransient/runTransientTail");
+  return drive(nullptr, sink, onPattern);
+}
+
+bool ConcurrentFaultSimulator::applyNextPattern(PatternSource* source,
+                                                Pattern& scratch) {
+  if (source != nullptr) {
+    if (!source->next(scratch)) return false;
+    for (const InputSetting& setting : scratch.settings) {
+      applySetting(setting.span());
+    }
+    return true;
+  }
+  // Replay: settle 0 (the initial all-X evaluation) ran in the constructor,
+  // or the tail resume skipped the prefix. Each further recorded settle is
+  // one applySetting of the recorded run, and the recorder logged exactly
+  // the inputs that setting changed, in order: position the reader, apply
+  // those changes, then settle (settleAll skips its own replayBeginSettle).
+  // The recorded end-of-pattern bits say which settle closes the pattern.
+  while (replaySettle_ < replay_->numSettles()) {
+    const std::uint32_t si = replaySettle_;
+    replayBeginSettle();
+    replayEntered_ = true;
+    for (const auto& ch : replayReader_->inputChanges()) {
+      const State old = table_.good(ch.node);
+      table_.setGood(ch.node, ch.value);
+      scheduleSettingSeeds(ch.node, old);
+    }
+    settleAll();
+    if (replay_->patternEndsAtSettle(si)) return true;
+  }
+  return false;
+}
+
+FaultSimResult ConcurrentFaultSimulator::drive(
+    PatternSource* source, RowSink* sink,
+    const std::function<void(const PatternStat&)>& onPattern) {
+  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
+  FMOSSIM_ASSERT((source == nullptr) == (replay_ != nullptr),
+                 "a self-simulating engine runs a pattern source; a replay "
+                 "engine drives from its checkpoint's trace");
+  ran_ = true;
+  RowTee out(sink, onPattern);
+  const std::vector<NodeId>& outputs =
+      source != nullptr ? source->outputs() : replay_->outputs();
 
   Timer total;
   const std::uint64_t evalsAtStart = nodeEvals();
+  std::uint64_t pi = 0;
+  if (transientMode_ && replay_ != nullptr) {
+    // A tail-resumed engine starts at the boundary after its resume
+    // pattern: that boundary's injections come first, then the next pattern.
+    patternBoundary(resumeAfterPattern_);
+    pi = resumeAfterPattern_ + 1;
+  }
   std::uint32_t cumulative = 0;
   bool earlyExit = false;
-
-  for (std::uint32_t pi = 0; pi < seq.size(); ++pi) {
+  Pattern scratch;
+  for (;; ++pi) {
     Timer patternTimer;
     const std::uint64_t evalsBefore = nodeEvals();
-    for (const InputSetting& setting : seq[pi].settings) {
-      applySetting(setting.span());
-    }
-    const std::uint32_t newly = observe(seq.outputs(), pi);
+    if (!applyNextPattern(source, scratch)) break;
+    const std::uint32_t newly =
+        observe(outputs, static_cast<std::uint32_t>(pi));
     if (record_ != nullptr) record_->endPattern();
+    patternBoundary(pi);
     cumulative += newly;
 
     PatternStat st;
-    st.index = pi;
+    st.index = static_cast<std::uint32_t>(pi);
     st.seconds = patternTimer.seconds();
     st.nodeEvals = nodeEvals() - evalsBefore;
     st.newlyDetected = newly;
     st.cumulativeDetected = cumulative;
     st.aliveAfter = aliveCount_;
-    res.perPattern.push_back(st);
-    if (onPattern) onPattern(st);
+    out.row(st);
 
     // Replay-mode early exit: with every faulty circuit detected and
     // dropped, the remaining patterns would be pure good-machine replay.
@@ -906,19 +978,22 @@ FaultSimResult ConcurrentFaultSimulator::runSequence(
     // simulated — the lever that lets a fault batch cost only as many
     // patterns as its hardest-to-detect fault needs.
     if (replay_ != nullptr && options_.dropDetected && aliveCount_ == 0 &&
-        pi + 1 < seq.size()) {
-      for (std::uint32_t rest = pi + 1; rest < seq.size(); ++rest) {
-        PatternStat tail;
-        tail.index = rest;
-        tail.cumulativeDetected = cumulative;
-        res.perPattern.push_back(tail);
-        if (onPattern) onPattern(tail);
+        pi + 1 < replay_->numPatterns()) {
+      PatternStat tail;
+      tail.cumulativeDetected = cumulative;
+      while (++pi < replay_->numPatterns()) {
+        tail.index = static_cast<std::uint32_t>(pi);
+        out.row(tail);
       }
       earlyExit = true;
       break;
     }
   }
 
+  FaultSimResult res;
+  res.numFaults = numMachines_;
+  res.numPatterns = pi;
+  res.droppedDetected = options_.dropDetected;
   res.detectedAtPattern = detectedAt_;
   res.numDetected = cumulative;
   res.maxAlive = maxAliveObserved_;
@@ -934,156 +1009,6 @@ FaultSimResult ConcurrentFaultSimulator::runSequence(
   res.potentialDetections = potentialDetections_;
   res.totalSeconds = total.seconds();
   // One engine, one thread: aggregate engine time is the wall clock.
-  res.totalCpuSeconds = res.totalSeconds;
-  res.totalNodeEvals = nodeEvals() - evalsAtStart;
-  return res;
-}
-
-FaultSimResult ConcurrentFaultSimulator::run(
-    PatternSource& source, RowSink* sink,
-    const std::function<void(const PatternStat&)>& onPattern) {
-  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
-  ran_ = true;
-  FMOSSIM_ASSERT(replay_ == nullptr,
-                 "streaming run does not take a replay checkpoint "
-                 "(runReplay drives the sequence from the trace itself)");
-  FMOSSIM_ASSERT(!transientMode_,
-                 "transient-mode engines run via runTransient/runTransientTail");
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.droppedDetected = options_.dropDetected;
-
-  Timer total;
-  const std::uint64_t evalsAtStart = nodeEvals();
-  std::uint32_t cumulative = 0;
-  std::uint64_t pi = 0;
-  Pattern p;
-  while (source.next(p)) {
-    Timer patternTimer;
-    const std::uint64_t evalsBefore = nodeEvals();
-    for (const InputSetting& setting : p.settings) {
-      applySetting(setting.span());
-    }
-    const std::uint32_t newly =
-        observe(source.outputs(), static_cast<std::uint32_t>(pi));
-    if (record_ != nullptr) record_->endPattern();
-    cumulative += newly;
-
-    PatternStat st;
-    st.index = static_cast<std::uint32_t>(pi);
-    st.seconds = patternTimer.seconds();
-    st.nodeEvals = nodeEvals() - evalsBefore;
-    st.newlyDetected = newly;
-    st.cumulativeDetected = cumulative;
-    st.aliveAfter = aliveCount_;
-    if (sink != nullptr) sink->row(st);
-    if (onPattern) onPattern(st);
-    ++pi;
-  }
-  res.numPatterns = pi;
-
-  res.detectedAtPattern = detectedAt_;
-  res.numDetected = cumulative;
-  res.maxAlive = maxAliveObserved_;
-  res.finalGoodStates.reserve(net_.numNodes());
-  for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
-    res.finalGoodStates.push_back(table_.good(NodeId(n)));
-  }
-  res.finalRecords = table_.totalRecords();
-  res.potentialDetections = potentialDetections_;
-  res.totalSeconds = total.seconds();
-  res.totalCpuSeconds = res.totalSeconds;
-  res.totalNodeEvals = nodeEvals() - evalsAtStart;
-  return res;
-}
-
-FaultSimResult ConcurrentFaultSimulator::runReplay(
-    RowSink* sink, const std::function<void(const PatternStat&)>& onPattern) {
-  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
-  ran_ = true;
-  FMOSSIM_ASSERT(replay_ != nullptr,
-                 "runReplay requires a replay-mode engine (checkpoint given)");
-  FMOSSIM_ASSERT(!transientMode_,
-                 "transient-mode engines run via runTransient/runTransientTail");
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.numPatterns = replay_->numPatterns();
-  res.droppedDetected = options_.dropDetected;
-
-  Timer total;
-  const std::uint64_t evalsAtStart = nodeEvals();
-  std::uint32_t cumulative = 0;
-  bool earlyExit = false;
-  std::uint64_t patternIndex = 0;
-  const std::uint32_t numSettles = replay_->numSettles();
-
-  // Settle 0 (the initial all-X evaluation) already ran in the constructor.
-  // Each further settle is driven entirely from the trace: position the
-  // reader, apply the settle's recorded input changes exactly as
-  // applySetting would have, then settle (the guard in settleAll skips its
-  // own replayBeginSettle). Pattern boundaries come from the recorded
-  // end-of-pattern bits, so no TestSequence or PatternSource is needed.
-  Timer patternTimer;
-  std::uint64_t evalsBefore = nodeEvals();
-  for (std::uint32_t si = 1; si < numSettles; ++si) {
-    replayBeginSettle();
-    replayEntered_ = true;
-    for (const auto& ch : replayReader_->inputChanges()) {
-      const State old = table_.good(ch.node);
-      table_.setGood(ch.node, ch.value);
-      scheduleSettingSeeds(ch.node, old);
-    }
-    settleAll();
-    if (!replay_->patternEndsAtSettle(si)) continue;
-
-    const std::uint32_t newly = observe(
-        replay_->outputs(), static_cast<std::uint32_t>(patternIndex));
-    cumulative += newly;
-
-    PatternStat st;
-    st.index = static_cast<std::uint32_t>(patternIndex);
-    st.seconds = patternTimer.seconds();
-    st.nodeEvals = nodeEvals() - evalsBefore;
-    st.newlyDetected = newly;
-    st.cumulativeDetected = cumulative;
-    st.aliveAfter = aliveCount_;
-    if (sink != nullptr) sink->row(st);
-    if (onPattern) onPattern(st);
-    ++patternIndex;
-
-    // Same early exit as the materialized replay run: with every circuit
-    // detected and dropped the tail rows are fully determined, so they are
-    // synthesized instead of simulated.
-    if (options_.dropDetected && aliveCount_ == 0 &&
-        patternIndex < res.numPatterns) {
-      for (std::uint64_t rest = patternIndex; rest < res.numPatterns; ++rest) {
-        PatternStat tail;
-        tail.index = static_cast<std::uint32_t>(rest);
-        tail.cumulativeDetected = cumulative;
-        if (sink != nullptr) sink->row(tail);
-        if (onPattern) onPattern(tail);
-      }
-      earlyExit = true;
-      break;
-    }
-    patternTimer.reset();
-    evalsBefore = nodeEvals();
-  }
-
-  res.detectedAtPattern = detectedAt_;
-  res.numDetected = cumulative;
-  res.maxAlive = maxAliveObserved_;
-  if (earlyExit) {
-    res.finalGoodStates = replay_->finalGoodStates();
-  } else {
-    res.finalGoodStates.reserve(net_.numNodes());
-    for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
-      res.finalGoodStates.push_back(table_.good(NodeId(n)));
-    }
-  }
-  res.finalRecords = table_.totalRecords();
-  res.potentialDetections = potentialDetections_;
-  res.totalSeconds = total.seconds();
   res.totalCpuSeconds = res.totalSeconds;
   res.totalNodeEvals = nodeEvals() - evalsAtStart;
   return res;
@@ -1196,86 +1121,41 @@ bool ConcurrentFaultSimulator::hasDivergence(CircuitId c) const {
   return false;
 }
 
+void ConcurrentFaultSimulator::patternBoundary(std::uint64_t pi) {
+  if (!transientMode_) return;
+  bool perturbed = false;
+  for (CircuitId c = 1; c <= numMachines_; ++c) {
+    TransientMachine& m = transient_[c - 1];
+    if (!m.injected && m.atPattern == pi) {
+      m.injected = true;
+      if (alive_[c]) {
+        injectTransientFlip(c);
+        perturbed = true;
+      }
+    } else if (pulseHeld(c) && alive_[c] &&
+               pi == m.atPattern + m.pulsePatterns) {
+      releaseTransientPulse(c);
+      perturbed = true;
+    }
+  }
+  if (perturbed) settleInPlace();
+}
+
 FaultSimResult ConcurrentFaultSimulator::runTransient(
     const TestSequence& seq, std::span<const TransientFault> specs,
     const std::function<void(const PatternStat&)>& onPattern) {
-  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
   FMOSSIM_ASSERT(transientMode_ && replay_ == nullptr,
                  "runTransient is the naive (self-simulating) transient run");
-  ran_ = true;
   loadTransientSpecs(specs, seq.size());
-
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.numPatterns = seq.size();
-  res.droppedDetected = options_.dropDetected;
-
-  Timer total;
-  const std::uint64_t evalsAtStart = nodeEvals();
-  std::uint32_t cumulative = 0;
-
-  for (std::uint32_t pi = 0; pi < seq.size(); ++pi) {
-    Timer patternTimer;
-    const std::uint64_t evalsBefore = nodeEvals();
-    for (const InputSetting& setting : seq[pi].settings) {
-      applySetting(setting.span());
-    }
-    const std::uint32_t newly = observe(seq.outputs(), pi);
-    cumulative += newly;
-
-    // Injections and pulse releases at this pattern boundary, then settle
-    // the perturbation in place.
-    bool perturbed = false;
-    for (std::uint32_t i = 0; i < numMachines_; ++i) {
-      TransientMachine& m = transient_[i];
-      const CircuitId c = i + 1;
-      if (!m.injected && m.atPattern == pi) {
-        m.injected = true;
-        if (alive_[c]) {
-          injectTransientFlip(c);
-          perturbed = true;
-        }
-      } else if (pulseHeld(c) && alive_[c] &&
-                 pi == m.atPattern + m.pulsePatterns) {
-        releaseTransientPulse(c);
-        perturbed = true;
-      }
-    }
-    if (perturbed) settleInPlace();
-    if (onPattern) {
-      PatternStat st;
-      st.index = pi;
-      st.seconds = patternTimer.seconds();
-      st.nodeEvals = nodeEvals() - evalsBefore;
-      st.newlyDetected = newly;
-      st.cumulativeDetected = cumulative;
-      st.aliveAfter = aliveCount_;
-      onPattern(st);
-    }
-  }
-
-  res.detectedAtPattern = detectedAt_;
-  res.numDetected = cumulative;
-  res.maxAlive = maxAliveObserved_;
-  res.finalGoodStates.reserve(net_.numNodes());
-  for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
-    res.finalGoodStates.push_back(table_.good(NodeId(n)));
-  }
-  res.finalRecords = table_.totalRecords();
-  res.potentialDetections = potentialDetections_;
-  res.totalSeconds = total.seconds();
-  res.totalCpuSeconds = res.totalSeconds;
-  res.totalNodeEvals = nodeEvals() - evalsAtStart;
-  return res;
+  MaterializedPatternSource source(seq);
+  return drive(&source, nullptr, onPattern);
 }
 
 FaultSimResult ConcurrentFaultSimulator::runTransientTail(
     std::span<const TransientFault> specs,
     const std::function<void(const PatternStat&)>& onPattern) {
-  FMOSSIM_ASSERT(!ran_, "ConcurrentFaultSimulator::run may only be called once");
   FMOSSIM_ASSERT(transientMode_ && replay_ != nullptr,
                  "runTransientTail requires a checkpoint-resumed engine");
-  ran_ = true;
   loadTransientSpecs(specs, replay_->numPatterns());
   for (const TransientFault& f : specs) {
     if (f.atPattern != resumeAfterPattern_) {
@@ -1283,96 +1163,7 @@ FaultSimResult ConcurrentFaultSimulator::runTransientTail(
                   "' is not at the engine's resume instant");
     }
   }
-
-  FaultSimResult res;
-  res.numFaults = numMachines_;
-  res.numPatterns = replay_->numPatterns();
-  res.droppedDetected = options_.dropDetected;
-
-  Timer total;
-  const std::uint64_t evalsAtStart = nodeEvals();
-
-  // Flip every machine at the resumed boundary and settle in place — the
-  // same perturbation the naive run applies after observing this pattern.
-  for (CircuitId c = 1; c <= numMachines_; ++c) {
-    transient_[c - 1].injected = true;
-    injectTransientFlip(c);
-  }
-  settleInPlace();
-
-  std::uint32_t cumulative = 0;
-  std::uint64_t patternIndex = resumeAfterPattern_ + 1;
-  const std::uint32_t numSettles = replay_->numSettles();
-  bool tailExited = false;
-
-  Timer patternTimer;
-  std::uint64_t evalsBefore = nodeEvals();
-  for (std::uint32_t si = replaySettle_; si < numSettles; ++si) {
-    replayBeginSettle();
-    replayEntered_ = true;
-    for (const auto& ch : replayReader_->inputChanges()) {
-      const State old = table_.good(ch.node);
-      table_.setGood(ch.node, ch.value);
-      scheduleSettingSeeds(ch.node, old);
-    }
-    settleAll();
-    if (!replay_->patternEndsAtSettle(si)) continue;
-
-    const std::uint32_t newly =
-        observe(replay_->outputs(), static_cast<std::uint32_t>(patternIndex));
-    cumulative += newly;
-
-    // Pulse releases at this boundary (all injections share the resume
-    // instant, so releases are the only mid-tail perturbations).
-    bool perturbed = false;
-    for (std::uint32_t i = 0; i < numMachines_; ++i) {
-      TransientMachine& m = transient_[i];
-      if (pulseHeld(i + 1) && alive_[i + 1] &&
-          patternIndex == m.atPattern + m.pulsePatterns) {
-        releaseTransientPulse(i + 1);
-        perturbed = true;
-      }
-    }
-    if (perturbed) settleInPlace();
-    if (onPattern) {
-      PatternStat st;
-      st.index = static_cast<std::uint32_t>(patternIndex);
-      st.seconds = patternTimer.seconds();
-      st.nodeEvals = nodeEvals() - evalsBefore;
-      st.newlyDetected = newly;
-      st.cumulativeDetected = cumulative;
-      st.aliveAfter = aliveCount_;
-      onPattern(st);
-    }
-    patternTimer.reset();
-    evalsBefore = nodeEvals();
-    ++patternIndex;
-
-    // Every machine detected and dropped: the rest of the tail is pure
-    // good-machine replay with nothing to observe — skip it.
-    if (options_.dropDetected && aliveCount_ == 0) {
-      tailExited = true;
-      break;
-    }
-  }
-
-  res.detectedAtPattern = detectedAt_;
-  res.numDetected = cumulative;
-  res.maxAlive = maxAliveObserved_;
-  if (tailExited) {
-    res.finalGoodStates = replay_->finalGoodStates();
-  } else {
-    res.finalGoodStates.reserve(net_.numNodes());
-    for (std::uint32_t n = 0; n < net_.numNodes(); ++n) {
-      res.finalGoodStates.push_back(table_.good(NodeId(n)));
-    }
-  }
-  res.finalRecords = table_.totalRecords();
-  res.potentialDetections = potentialDetections_;
-  res.totalSeconds = total.seconds();
-  res.totalCpuSeconds = res.totalSeconds;
-  res.totalNodeEvals = nodeEvals() - evalsAtStart;
-  return res;
+  return drive(nullptr, nullptr, onPattern);
 }
 
 }  // namespace fmossim

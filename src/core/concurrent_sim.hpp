@@ -1,28 +1,29 @@
-// FMOSSIM's concurrent switch-level fault simulation engine (paper §4).
-//
-// The engine simulates the good circuit in full and every faulty circuit by
-// difference:
-//
-//   * Node states are kept as per-node sorted record lists (StateTable);
-//     a faulty circuit's state exists only where it diverges from the good
-//     circuit.
-//   * Events are (node, circuit) pairs: "an 'event' specifies both a node
-//     and a circuit indicating that the state of this node must be
-//     recomputed in this particular circuit."
-//   * Each unit-delay phase first simulates all good-circuit activity; each
-//     evaluated good vicinity then *triggers* events for the faulty circuits
-//     that diverge on it or structurally differ adjacent to it (records on
-//     member or gate nodes, stuck nodes, transistor overrides — adjacency is
-//     needed because a fault can extend the vicinity in the faulty circuit).
-//     The faulty circuits are then simulated one at a time in ascending
-//     circuit-ID order, each under its own topology and its own pre-phase
-//     charge state.
-//   * After each pattern the observed outputs are compared; a mismatch
-//     detects the fault and its circuit is dropped from simulation.
-//
-// Faulty circuits are bit-identified overlays on the shared network: a node
-// stuck-at fault makes the node an input in that circuit only; transistor
-// faults and activated fault devices are per-circuit conduction overrides.
+/// \file
+/// FMOSSIM's concurrent switch-level fault simulation engine (paper §4).
+///
+/// The engine simulates the good circuit in full and every faulty circuit by
+/// difference:
+///
+///   * Node states are kept as per-node sorted record lists (StateTable);
+///     a faulty circuit's state exists only where it diverges from the good
+///     circuit.
+///   * Events are (node, circuit) pairs: "an 'event' specifies both a node
+///     and a circuit indicating that the state of this node must be
+///     recomputed in this particular circuit."
+///   * Each unit-delay phase first simulates all good-circuit activity; each
+///     evaluated good vicinity then *triggers* events for the faulty circuits
+///     that diverge on it or structurally differ adjacent to it (records on
+///     member or gate nodes, stuck nodes, transistor overrides — adjacency is
+///     needed because a fault can extend the vicinity in the faulty circuit).
+///     The faulty circuits are then simulated one at a time in ascending
+///     circuit-ID order, each under its own topology and its own pre-phase
+///     charge state.
+///   * After each pattern the observed outputs are compared; a mismatch
+///     detects the fault and its circuit is dropped from simulation.
+///
+/// Faulty circuits are bit-identified overlays on the shared network: a node
+/// stuck-at fault makes the node an input in that circuit only; transistor
+/// faults and activated fault devices are per-circuit conduction overrides.
 #pragma once
 
 #include <array>
@@ -59,8 +60,12 @@ enum class DetectionPolicy : std::uint8_t {
   AnyDifference,
 };
 
+/// Options of one concurrent fault-simulation engine.
 struct FsimOptions {
+  /// Switch-level simulation options (settle limit and X-coercion); they
+  /// shape the good-machine trace, so they also key recorded checkpoints.
   SimOptions sim;
+  /// How output mismatches count as detections.
   DetectionPolicy policy = DetectionPolicy::DefiniteOnly;
   /// Drop faulty circuits once detected (paper: "the simulation of that
   /// circuit is dropped"). Disable for the ablation benchmark.
@@ -71,17 +76,11 @@ struct FsimOptions {
   /// bug of missed divergence propagation. Must stay 0 in real use; only the
   /// oracle's mutation tests set it.
   std::uint32_t debugLoseTriggerEvery = 0;
-  /// Opt-in asynchronous read-ahead during checkpoint replay (spilled
-  /// checkpoints only): the replay reader prefetches and decodes the next
-  /// settle chunk off-thread while the engine consumes the current one
-  /// (CheckpointReader::enableReadAhead), so budgeted replays stop blocking
-  /// on synchronous decode at every chunk switch. Costs up to one extra
-  /// resident chunk per replaying engine; results are bit-identical.
-  bool checkpointReadAhead = false;
 };
 
 /// Per-pattern measurement row (the raw data behind Figures 1 and 2).
 struct PatternStat {
+  /// Pattern index in the sequence.
   std::uint32_t index = 0;
   /// Aggregate engine time spent on this pattern, summed across every
   /// engine that simulated it. For unsharded runs this is the pattern's
@@ -90,18 +89,20 @@ struct PatternStat {
   /// vs. totalCpuSeconds for the run-level pair.
   double seconds = 0.0;
   std::uint64_t nodeEvals = 0;    ///< solver work in this pattern (all circuits)
-  std::uint32_t newlyDetected = 0;
-  std::uint32_t cumulativeDetected = 0;
+  std::uint32_t newlyDetected = 0;       ///< faults first detected here
+  std::uint32_t cumulativeDetected = 0;  ///< faults detected so far
   std::uint32_t aliveAfter = 0;   ///< faulty circuits still being simulated
 };
 
 /// Result of a full fault-simulation run.
 struct FaultSimResult {
+  /// One row per pattern for materialized runs; empty for streaming
+  /// (rowless) runs, whose rows are derivable (core/row_sink.hpp).
   std::vector<PatternStat> perPattern;
   /// Per fault: index of the detecting pattern, or -1 if undetected.
   std::vector<std::int32_t> detectedAtPattern;
-  std::uint32_t numFaults = 0;
-  std::uint32_t numDetected = 0;
+  std::uint32_t numFaults = 0;    ///< faulty machines simulated
+  std::uint32_t numDetected = 0;  ///< faults detected by the run
   std::uint64_t potentialDetections = 0;  ///< X-involved mismatches observed
   /// Wall-clock seconds for the whole run (sharded runs: the parallel run's
   /// elapsed time, including checkpoint recording when this run recorded).
@@ -111,6 +112,7 @@ struct FaultSimResult {
   /// Equals totalSeconds for unsharded backends; for sharded runs
   /// totalCpuSeconds / totalSeconds approximates the effective parallelism.
   double totalCpuSeconds = 0.0;
+  /// Deterministic work counter: node evaluations across every circuit.
   std::uint64_t totalNodeEvals = 0;
   /// Peak number of simultaneously live faulty circuits of the modeled
   /// (single-engine) simulation — the paper's Fig. statistic. Exact for
@@ -137,11 +139,14 @@ struct FaultSimResult {
   /// core/row_sink.hpp (forEachDerivedRow).
   bool droppedDetected = false;
 
+  /// Fraction of the faults detected.
   double coverage() const {
     return numFaults == 0 ? 0.0 : double(numDetected) / double(numFaults);
   }
 };
 
+/// The concurrent fault-simulation engine: the good circuit in full, every
+/// faulty circuit by difference (see the file comment).
 class ConcurrentFaultSimulator {
  public:
   /// Builds the engine and injects every fault (initial divergence records
@@ -156,11 +161,8 @@ class ConcurrentFaultSimulator {
   /// stimuli + state commits, already coerced) is replayed from the
   /// checkpoint's trace instead, keeping phase alignment and results
   /// bit-identical to a self-simulating engine while spending solver work on
-  /// faulty circuits only. The sequence later passed to run() must be the
-  /// one the checkpoint recorded (asserted via fingerprint). In replay mode
-  /// with dropDetected, the run exits early once every faulty circuit has
-  /// been detected and dropped — the checkpoint supplies the final good
-  /// states for the untouched tail of the sequence.
+  /// faulty circuits only. A replay engine's run is driven from the trace
+  /// and may exit early (see the run entry points below).
   ConcurrentFaultSimulator(const Network& net, const FaultList& faults,
                            FsimOptions options = {},
                            CheckpointRecorder* record = nullptr,
@@ -185,44 +187,51 @@ class ConcurrentFaultSimulator {
                            const GoodMachineCheckpoint* replay = nullptr,
                            std::uint64_t resumeAfterPattern = 0);
 
+  /// Out of line: the replay reader's type is incomplete here.
   ~ConcurrentFaultSimulator();
 
+  /// The simulated network.
   const Network& network() const { return net_; }
+  /// The injected permanent faults (empty in transient mode).
   const FaultList& faults() const { return faults_; }
 
-  /// Runs a complete test sequence with per-pattern instrumentation and
-  /// fault dropping. Can only be called once per simulator instance.
-  FaultSimResult run(const TestSequence& seq);
+  // --- runs -----------------------------------------------------------------
+  //
+  // Every run entry point wraps one private driver. Pattern by pattern it
+  // applies the stimulus, observes the outputs (recording detections and
+  // dropping detected circuits), runs the pattern-boundary step (SEU
+  // injections and pulse releases; nothing for permanent faults) and hands
+  // the pattern's PatternStat row to the run's RowSink. The stimulus is a
+  // PatternSource in a self-simulating engine and the checkpoint's recorded
+  // trace in a replay engine: each recorded settle re-applies the input
+  // changes of one applySetting of the recording run, so both stimuli yield
+  // the same rows. In replay mode with dropDetected, once every faulty
+  // circuit is detected and dropped the remaining rows are synthesized (no
+  // detections, no live circuits, no solver work) and the checkpoint
+  // supplies the final good states. An engine runs once.
 
-  /// Like run(), invoking `onPattern` after each pattern (for live
-  /// reporting in the benchmark harnesses).
-  FaultSimResult run(const TestSequence& seq,
-                     const std::function<void(const PatternStat&)>& onPattern);
+  /// Materialized run: the result's perPattern holds one row per pattern,
+  /// and `onPattern` (optional) sees each row as it completes. In replay
+  /// mode `seq` must be the sequence the checkpoint recorded (asserted via
+  /// fingerprint); the run is then driven from the trace, as runReplay.
+  FaultSimResult run(
+      const TestSequence& seq,
+      const std::function<void(const PatternStat&)>& onPattern = {});
 
-  /// run(seq) for a caller that already holds `seqFingerprint` ==
-  /// GoodMachineCheckpoint::fingerprint(seq): replay mode compares it with
-  /// the checkpoint's instead of rehashing the sequence, so a sharded run
-  /// hashes its sequence once for all of its batch engines.
-  FaultSimResult run(const TestSequence& seq, std::uint64_t seqFingerprint);
-
-  /// Streaming run: pulls patterns from `source` one at a time and never
-  /// materializes per-pattern rows — each row goes to `sink` (and
-  /// `onPattern`) as it completes and the result's perPattern stays empty
-  /// (numPatterns/droppedDetected are set instead; see core/row_sink.hpp).
-  /// Resident memory is flat in the sequence length. Not valid in replay
-  /// mode (use runReplay, which needs no sequence at all). When recording a
-  /// checkpoint, the source is consumed exactly once and its fingerprint is
-  /// captured via PatternSource::fingerprint() before the run.
+  /// Streaming run of a self-simulating engine: pulls patterns from
+  /// `source` one at a time and never materializes per-pattern rows — each
+  /// row goes to `sink` (and `onPattern`) as it completes and the result's
+  /// perPattern stays empty (numPatterns/droppedDetected are set instead;
+  /// see core/row_sink.hpp). Resident memory is flat in the sequence
+  /// length. When recording a checkpoint the source is consumed once.
   FaultSimResult run(PatternSource& source, RowSink* sink = nullptr,
                      const std::function<void(const PatternStat&)>& onPattern = {});
 
-  /// Replay-mode streaming run: drives the whole sequence from the
-  /// checkpoint's recorded trace (input changes + pattern boundaries), so
-  /// workers need neither a materialized TestSequence nor the PatternSource.
-  /// Requires replay mode. Rows stream to `sink`/`onPattern`; the result is
-  /// rowless like the streaming run() above. Early exit applies as in
-  /// run(): once every circuit is detected and dropped, the remaining rows
-  /// are synthesized.
+  /// Trace-driven run of a replay engine: the whole sequence comes from the
+  /// checkpoint (input changes and pattern boundaries), so the caller needs
+  /// neither a TestSequence nor a PatternSource. Rows stream to
+  /// `sink`/`onPattern` and the result is rowless, as in the streaming
+  /// run().
   FaultSimResult runReplay(RowSink* sink = nullptr,
                            const std::function<void(const PatternStat&)>& onPattern = {});
 
@@ -240,11 +249,12 @@ class ConcurrentFaultSimulator {
       const std::function<void(const PatternStat&)>& onPattern = {});
 
   /// Checkpoint-tail transient run: every spec must share the engine's
-  /// resume instant (a same-instant injection group). All machines are
-  /// flipped at the resumed pattern boundary, then only the remaining
-  /// patterns are replayed from the trace. Early-exits once every machine
-  /// is detected and dropped. Bit-identical to runTransient of the same
-  /// specs over the recorded sequence.
+  /// resume instant (a same-instant injection group). The boundary step
+  /// flips every machine at the resumed pattern boundary, then the driver
+  /// replays only the remaining patterns from the trace; rows start at the
+  /// pattern after the resume instant. Early-exits once every machine is
+  /// detected and dropped. Bit-identical to runTransient of the same specs
+  /// over the recorded sequence.
   FaultSimResult runTransientTail(
       std::span<const TransientFault> specs,
       const std::function<void(const PatternStat&)>& onPattern = {});
@@ -265,23 +275,32 @@ class ConcurrentFaultSimulator {
   std::uint32_t observe(const std::vector<NodeId>& outputs,
                         std::uint32_t patternIndex);
 
+  /// Good-circuit state of node n.
   State goodState(NodeId n) const { return table_.good(n); }
   /// State of node n in faulty circuit c (c in [1, numFaults]).
   State faultyState(NodeId n, CircuitId c) const;
+  /// Whether faulty circuit c is still simulated (not dropped).
   bool alive(CircuitId c) const { return alive_[c] != 0; }
+  /// Number of faulty circuits still simulated.
   std::uint32_t aliveCount() const { return aliveCount_; }
+  /// Detecting pattern of fault `faultIndex`, or -1 while undetected.
   std::int32_t detectedAtPattern(std::uint32_t faultIndex) const {
     return detectedAt_[faultIndex];
   }
+  /// X-involved output mismatches observed so far.
   std::uint64_t potentialDetections() const { return potentialDetections_; }
 
   /// Deterministic work counter: member-node evaluations across all
   /// circuits, so the paper's growth-shape claims remain comparable across
   /// engine versions.
   std::uint64_t nodeEvals() const { return solver_.nodeEvals(); }
+  /// Unit-delay phases run so far.
   std::uint64_t phaseCount() const { return phases_; }
+  /// Faulty-circuit events created by good-vicinity triggers so far.
   std::uint64_t triggeredEvents() const { return triggeredEvents_; }
+  /// Divergence records currently held in the state table.
   std::uint64_t recordCount() const { return table_.totalRecords(); }
+  /// Peak number of simultaneously live faulty circuits.
   std::uint32_t maxAliveObserved() const { return maxAliveObserved_; }
 
   /// Consistency check for tests: recomputes every incrementally maintained
@@ -294,7 +313,9 @@ class ConcurrentFaultSimulator {
   void checkIndexes() const;
 
  private:
+  /// The good circuit's view for the vicinity builder (engine internals).
   friend struct GoodCircuitView;
+  /// One faulty circuit's pre-phase view (engine internals).
   friend struct FaultyCircuitView;
 
   // Per-circuit static overlays, sorted by circuit id.
@@ -330,11 +351,20 @@ class ConcurrentFaultSimulator {
                            bool transientMode,
                            std::uint64_t resumeAfterPattern);
 
-  /// Body of the materialized run() overloads; `seqFingerprint` is only
-  /// read in replay mode.
-  FaultSimResult runSequence(
-      const TestSequence& seq, std::uint64_t seqFingerprint,
+  /// The one run driver (see the run entry points). `source` is the
+  /// stimulus of a self-simulating engine; null drives a replay engine from
+  /// its checkpoint's trace. Rows go to `sink` and `onPattern`.
+  FaultSimResult drive(
+      PatternSource* source, RowSink* sink,
       const std::function<void(const PatternStat&)>& onPattern);
+  /// Applies the next pattern's input settings and settles every circuit:
+  /// from `source` into `scratch`, or from the trace when `source` is null.
+  /// False when the stimulus is exhausted.
+  bool applyNextPattern(PatternSource* source, Pattern& scratch);
+  /// The pattern-boundary step after pattern `pi` is observed: SEU
+  /// injections due at `pi` and pulse releases, settled in place. A no-op
+  /// for permanent-fault engines.
+  void patternBoundary(std::uint64_t pi);
   void inject();
   SettleResult settleAll();
   void runPhase(bool coerce);
@@ -466,9 +496,10 @@ class ConcurrentFaultSimulator {
   std::unique_ptr<CheckpointReader> replayReader_;  // non-null iff replay_
   std::uint32_t replaySettle_ = 0;  // 1-based after replayBeginSettle
   std::uint32_t replayPhase_ = 0;   // next phase within the current settle
-  // Set when runReplay() already entered the settle (to apply the recorded
-  // input changes it needed the reader positioned first); tells the next
-  // settleAll() to skip its own replayBeginSettle.
+  // Set when the next settleAll() must not enter a new recorded settle: a
+  // trace-driven pattern step already entered it (to apply the recorded
+  // input changes it needed the reader positioned first), or the settle is
+  // an in-place one between patterns.
   bool replayEntered_ = false;
 
   StateTable table_;

@@ -1,23 +1,24 @@
-// Streaming per-pattern row consumption: the hot-path alternative to the
-// materialized FaultSimResult::perPattern vector.
-//
-// A streaming run (ConcurrentFaultSimulator over a PatternSource, or a
-// sharded streamed merge) does not materialize per-pattern rows; it pushes
-// each row through a RowSink as it completes and leaves perPattern empty,
-// recording only numPatterns/droppedDetected on the result. Row-derived
-// aggregates stay exact because every row triple is fully derivable from
-// the detection record: newlyDetected is the number of faults first
-// detected at that pattern, cumulativeDetected the running sum, and
-// aliveAfter == droppedDetected ? numFaults - cumulative : numFaults — an
-// invariant every backend maintains (early-exit tails included, where
-// cumulative has reached its final value so the derived aliveAfter is 0).
-//
-// Two sinks cover both worlds:
-//   * MaterializingRowSink — collects rows into a vector; the opt-in
-//     compatibility path that keeps byte-identical results available.
-//   * AggregatingRowSink — O(1) state per pattern: running detection
-//     counts, an alive curve decimated into a bounded reservoir, and an
-//     incrementally folded row checksum.
+/// \file
+/// Streaming per-pattern row consumption: the hot-path alternative to the
+/// materialized FaultSimResult::perPattern vector.
+///
+/// A streaming run (ConcurrentFaultSimulator over a PatternSource, or a
+/// sharded streamed merge) does not materialize per-pattern rows; it pushes
+/// each row through a RowSink as it completes and leaves perPattern empty,
+/// recording only numPatterns/droppedDetected on the result. Row-derived
+/// aggregates stay exact because every row triple is fully derivable from
+/// the detection record: newlyDetected is the number of faults first
+/// detected at that pattern, cumulativeDetected the running sum, and
+/// aliveAfter == droppedDetected ? numFaults - cumulative : numFaults — an
+/// invariant every backend maintains (early-exit tails included, where
+/// cumulative has reached its final value so the derived aliveAfter is 0).
+///
+/// Two sinks cover both worlds:
+///   * MaterializingRowSink — collects rows into a vector; the engine's
+///     materialized run() fills FaultSimResult::perPattern through it.
+///   * AggregatingRowSink — O(1) state per pattern: running detection
+///     counts, an alive curve decimated into a bounded reservoir, and an
+///     incrementally folded row checksum.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +34,18 @@ struct FaultSimResult;
 /// order exactly once per pattern.
 class RowSink {
  public:
+  /// Sinks are used through base pointers.
   virtual ~RowSink() = default;
+  /// Consumes the row of one pattern.
   virtual void row(const PatternStat& st) = 0;
 };
 
 /// Collects every row into an external vector (opt-in materialization).
 class MaterializingRowSink final : public RowSink {
  public:
+  /// Appends every row to `out` (must outlive the sink).
   explicit MaterializingRowSink(std::vector<PatternStat>& out) : out_(&out) {}
+  /// Appends the row.
   void row(const PatternStat& st) override;
 
  private:
@@ -51,9 +56,10 @@ class MaterializingRowSink final : public RowSink {
 /// capacity, independent of sequence length.
 class AggregatingRowSink final : public RowSink {
  public:
+  /// One sample of the decimated alive curve.
   struct AlivePoint {
-    std::uint64_t index = 0;
-    std::uint32_t aliveAfter = 0;
+    std::uint64_t index = 0;       ///< pattern index
+    std::uint32_t aliveAfter = 0;  ///< live faulty circuits after it
   };
 
   /// `aliveCurveCapacity` bounds the decimated alive-curve reservoir; must
@@ -62,18 +68,25 @@ class AggregatingRowSink final : public RowSink {
   /// whole run at uniform stride.
   explicit AggregatingRowSink(std::size_t aliveCurveCapacity = 1024);
 
+  /// Folds the row into the running aggregates.
   void row(const PatternStat& st) override;
 
+  /// Rows seen.
   std::uint64_t patterns() const { return patterns_; }
+  /// Sum of newlyDetected over every row.
   std::uint64_t totalNewlyDetected() const { return totalNewly_; }
+  /// cumulativeDetected of the last row.
   std::uint32_t finalCumulativeDetected() const { return finalCumulative_; }
+  /// aliveAfter of the last row.
   std::uint32_t finalAliveAfter() const { return finalAlive_; }
   /// FNV-1a fold of (newlyDetected, cumulativeDetected, aliveAfter) in row
   /// order — the same triples perf::resultChecksum folds for the
   /// perPattern segment, so two streaming runs can be compared row-exactly
   /// without materializing either.
   std::uint64_t rowChecksum() const { return rowChecksum_; }
+  /// Current sampling stride of the alive curve, in patterns.
   std::uint64_t aliveCurveStride() const { return stride_; }
+  /// The decimated alive curve, in pattern order.
   const std::vector<AlivePoint>& aliveCurve() const { return curve_; }
 
  private:

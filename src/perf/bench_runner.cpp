@@ -145,6 +145,15 @@ ScenarioResult BenchRunner::runScenario(
   // every row's checksum is the campaign checksum — so the CLI's
   // cross-backend bit-identity pass gates replay == naive on every run.
   if (!w.seuCampaign.empty()) {
+    // The replay rows share one good-machine recording. Take it before any
+    // timed window, so no row's first repetition pays for it (with no
+    // warmup that first repetition would otherwise be the recording).
+    if (std::any_of(w.rows.begin(), w.rows.end(),
+                    [](const RowSpec& r) { return !r.seuNaive; })) {
+      FsimOptions recordOpts;
+      recordOpts.sim = seu::CampaignOptions{}.sim;
+      store->acquire(w.net, w.seq, recordOpts);
+    }
     for (const RowSpec& spec : w.rows) {
       seu::CampaignOptions campaignOpts;
       campaignOpts.jobs = spec.jobs;

@@ -13,9 +13,9 @@
 //     reused across campaigns against the same circuit + sequence);
 //   * injections are grouped by instant; each group materializes the good
 //     state right after its pattern (goodStateAfterPattern — a pure data
-//     fold, zero solver work), flips every machine, and runs the concurrent
-//     engine over only the TAIL of the sequence, replaying the good trace
-//     (runTransientTail);
+//     fold, zero solver work), flips every machine in the run driver's
+//     pattern-boundary step, and runs the concurrent engine over only the
+//     TAIL of the sequence, replaying the good trace (runTransientTail);
 //   * same-instant machines batch through the existing concurrent scheduler.
 //
 // Each injection is classified detected (output mismatch at some pattern),

@@ -431,11 +431,11 @@ TEST(SchedulerMatrixTest, HistoryPlanIsValidPermutation) {
   EXPECT_EQ(fallback.slices, sched::contiguousBatches(n + 5, 2, 0));
 }
 
-// Checkpoint read-ahead: with the good-machine trace spilled to disk (tiny
-// budget) and asynchronous next-block prefetch enabled, every replaying
-// batch must still produce the exact reference result — prefetch only moves
-// I/O off the critical path, it never changes which block is replayed.
-TEST(SchedulerMatrixTest, ReadAheadSpilledReplayBitIdentical) {
+// Spilled replay: with the good-machine trace spilled to disk (tiny budget),
+// every batch replays through the shared sliding window, evicting and
+// re-reading chunks; each schedule must still produce the exact reference
+// result.
+TEST(SchedulerMatrixTest, SpilledReplayBitIdenticalAcrossSchedules) {
   const MatrixWorkload w = matrixWorkloads()[0];
   EngineOptions base;
   base.backend = Backend::Concurrent;
@@ -449,10 +449,9 @@ TEST(SchedulerMatrixTest, ReadAheadSpilledReplayBitIdentical) {
     opts.jobs = 4;
     opts.schedule = policy;
     opts.checkpointBudgetBytes = 4096;  // forces the spill/window path
-    opts.checkpointReadAhead = true;
     Engine engine(w.net, w.faults, opts);
     expectEqualResults(ref, engine.run(w.seq),
-                       std::string("read-ahead schedule=") +
+                       std::string("spilled schedule=") +
                            sched::schedulePolicyName(policy));
   }
 }

@@ -12,6 +12,7 @@
 #include "faults/sampling.hpp"
 #include "faults/universe.hpp"
 #include "patterns/marching.hpp"
+#include "patterns/pattern_source.hpp"
 #include "util/rng.hpp"
 
 namespace fmossim {
@@ -60,6 +61,19 @@ TEST(ShardedRunnerTest, MergeReindexesAndSums) {
   EXPECT_EQ(merged.perPattern[1].newlyDetected, 2u);
   EXPECT_EQ(merged.perPattern[1].cumulativeDetected, 3u);
   EXPECT_EQ(merged.perPattern[1].aliveAfter, 2u);
+
+  // Rowless (streamed) shards merge into a rowless result with the same
+  // totals; the 64-bit pattern count passes through untruncated.
+  for (FaultSimResult& shard : shards) shard.perPattern.clear();
+  const std::uint64_t manyPatterns = (std::uint64_t{1} << 32) + 2;
+  const FaultSimResult rowless =
+      mergeShardResults(shards, slices, manyPatterns);
+  EXPECT_TRUE(rowless.perPattern.empty());
+  EXPECT_EQ(rowless.numPatterns, manyPatterns);
+  EXPECT_EQ(rowless.detectedAtPattern, expected);
+  EXPECT_EQ(rowless.numDetected, 3u);
+  EXPECT_EQ(rowless.totalNodeEvals, 30u);
+  EXPECT_EQ(rowless.maxAlive, 5u);
 }
 
 TEST(ShardedRunnerTest, Ram64MarchDetectionsIdenticalAcrossJobCounts) {
@@ -130,9 +144,20 @@ TEST(ShardedRunnerTest, ShardedRunIsRepeatable) {
   Engine engine(ram.net, faults, opts);
   const TestSequence seq = ramArrayMarch(ram);
   const FaultSimResult first = engine.run(seq);
+  // A streamed run in between leaves a streamed checkpoint of the same
+  // sequence behind; it lacks the per-pattern good evaluations the
+  // materialized merge adds back, so the next run must not reuse it.
+  MaterializedPatternSource source(seq);
+  const FaultSimResult streamed = engine.runStream(source);
+  EXPECT_EQ(streamed.detectedAtPattern, first.detectedAtPattern);
   const FaultSimResult second = engine.run(seq);
   EXPECT_EQ(first.detectedAtPattern, second.detectedAtPattern);
   EXPECT_EQ(first.totalNodeEvals, second.totalNodeEvals);
+  ASSERT_EQ(second.perPattern.size(), first.perPattern.size());
+  for (std::size_t pi = 0; pi < first.perPattern.size(); ++pi) {
+    EXPECT_EQ(second.perPattern[pi].nodeEvals, first.perPattern[pi].nodeEvals)
+        << "pattern " << pi;
+  }
 }
 
 }  // namespace

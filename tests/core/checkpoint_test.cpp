@@ -9,10 +9,12 @@
 #include "circuits/ram.hpp"
 #include "core/checkpoint.hpp"
 #include "core/concurrent_sim.hpp"
+#include "core/row_sink.hpp"
 #include "faults/sampling.hpp"
 #include "faults/universe.hpp"
 #include "gen/random_circuit.hpp"
 #include "patterns/marching.hpp"
+#include "patterns/pattern_source.hpp"
 #include "util/rng.hpp"
 
 namespace fmossim {
@@ -215,6 +217,96 @@ TEST(CheckpointTest, ReplayMatchesOnGeneratedWorkload) {
   EXPECT_EQ(got.potentialDetections, ref.potentialDetections);
   EXPECT_EQ(got.finalGoodStates, ref.finalGoodStates);
   EXPECT_EQ(ck.totalGoodEvals() + got.totalNodeEvals, ref.totalNodeEvals);
+}
+
+// Every stimulus the run driver accepts must produce the same rows: the
+// self-simulated materialized run (the reference), the same engine fed a
+// MaterializedPatternSource into a MaterializingRowSink, a replay engine
+// handed the sequence, and a replay engine driven from the trace alone.
+// Row triples match exactly; a replay row's work counter is the faulty
+// share, so adding the checkpoint's good share gives the self-simulated
+// count — on every row the replay simulated (synthesized early-exit rows
+// after the last live circuit dropped carry no work at all).
+void expectStimuliAgreeRowForRow(const Network& net, const FaultList& faults,
+                                 const TestSequence& seq, bool drop) {
+  FsimOptions opts;
+  opts.policy = DetectionPolicy::AnyDifference;
+  opts.dropDetected = drop;
+
+  ConcurrentFaultSimulator selfSim(net, faults, opts);
+  const FaultSimResult ref = selfSim.run(seq);
+  ASSERT_EQ(ref.perPattern.size(), seq.size());
+
+  std::vector<PatternStat> sourceRows;
+  MaterializingRowSink sourceSink(sourceRows);
+  MaterializedPatternSource source(seq);
+  ConcurrentFaultSimulator fromSource(net, faults, opts);
+  const FaultSimResult sourced = fromSource.run(source, &sourceSink);
+
+  const GoodMachineCheckpoint ck = GoodMachineCheckpoint::record(net, seq, opts);
+  ConcurrentFaultSimulator replaySeq(net, faults, opts, nullptr, &ck);
+  const FaultSimResult replayed = replaySeq.run(seq);
+
+  std::vector<PatternStat> traceRows;
+  MaterializingRowSink traceSink(traceRows);
+  ConcurrentFaultSimulator replayTrace(net, faults, opts, nullptr, &ck);
+  const FaultSimResult traced = replayTrace.runReplay(&traceSink);
+
+  struct Stimulus {
+    const char* name;
+    const FaultSimResult* result;
+    const std::vector<PatternStat>* rows;
+    bool replay;
+  };
+  for (const Stimulus& s :
+       {Stimulus{"source", &sourced, &sourceRows, false},
+        Stimulus{"replay-seq", &replayed, &replayed.perPattern, true},
+        Stimulus{"replay-trace", &traced, &traceRows, true}}) {
+    SCOPED_TRACE(std::string(s.name) + (drop ? " drop" : " no-drop"));
+    EXPECT_EQ(s.result->detectedAtPattern, ref.detectedAtPattern);
+    EXPECT_EQ(s.result->numPatterns, ref.numPatterns);
+    EXPECT_EQ(s.result->potentialDetections, ref.potentialDetections);
+    EXPECT_EQ(s.result->finalGoodStates, ref.finalGoodStates);
+    ASSERT_EQ(s.rows->size(), ref.perPattern.size());
+    bool exited = false;
+    for (std::size_t pi = 0; pi < ref.perPattern.size(); ++pi) {
+      const PatternStat& want = ref.perPattern[pi];
+      const PatternStat& got = (*s.rows)[pi];
+      EXPECT_EQ(got.index, want.index) << "pattern " << pi;
+      EXPECT_EQ(got.newlyDetected, want.newlyDetected) << "pattern " << pi;
+      EXPECT_EQ(got.cumulativeDetected, want.cumulativeDetected)
+          << "pattern " << pi;
+      EXPECT_EQ(got.aliveAfter, want.aliveAfter) << "pattern " << pi;
+      if (!s.replay) {
+        EXPECT_EQ(got.nodeEvals, want.nodeEvals) << "pattern " << pi;
+      } else if (!exited) {
+        EXPECT_EQ(got.nodeEvals + ck.perPatternGoodEvals()[pi], want.nodeEvals)
+            << "pattern " << pi;
+      }
+      // Rows after the last live circuit dropped are synthesized.
+      if (s.replay && drop && got.aliveAfter == 0) exited = true;
+    }
+  }
+}
+
+TEST(CheckpointTest, StimuliAgreeRowForRowOnRam) {
+  const RamWorkload w = smallRamWorkload();
+  for (const bool drop : {true, false}) {
+    expectStimuliAgreeRowForRow(w.ram.net, w.faults, w.seq, drop);
+  }
+}
+
+TEST(CheckpointTest, StimuliAgreeRowForRowOnGeneratedWorkload) {
+  GenOptions gen;
+  gen.seed = 99;
+  gen.numNodes = 24;
+  gen.numInputs = 6;
+  gen.numFaults = 40;
+  gen.numPatterns = 12;
+  const GeneratedWorkload w = generateWorkload(gen);
+  for (const bool drop : {true, false}) {
+    expectStimuliAgreeRowForRow(w.net, w.faults, w.seq, drop);
+  }
 }
 
 }  // namespace
