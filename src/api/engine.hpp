@@ -58,10 +58,11 @@ struct EngineOptions {
   /// results are deterministic and bit-identical to jobs = 1.
   unsigned jobs = 1;
   /// Fault-batch size for the sharded scheduler (jobs > 1 only): 0 selects
-  /// the auto schedule (~4 batches per worker, floored at 32 faults), any
-  /// other value fixed-size batches of that many faults. Any setting
-  /// produces identical results; the knob trades scheduling granularity
-  /// against per-batch replay overhead.
+  /// the auto schedule (~4 batches per worker of at least 32 faults, none
+  /// larger than one worker's share of the faults), any other value
+  /// fixed-size batches of that many faults. Any setting produces identical
+  /// results; the knob trades scheduling granularity against per-batch
+  /// replay overhead.
   std::uint32_t batchFaults = 0;
   /// Shared good-machine checkpoint cache (jobs > 1 only). Engines handed
   /// the same store record the fault-free run once per (network, sequence)

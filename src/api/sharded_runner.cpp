@@ -1,13 +1,11 @@
 #include "api/sharded_runner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <thread>
 
 #include "api/engine.hpp"
 #include "core/row_sink.hpp"
 #include "patterns/pattern_source.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace fmossim {
@@ -193,72 +191,39 @@ void ShardedRunner::publishHistory(const FaultSimResult& merged) const {
 
 FaultSimResult ShardedRunner::runBatches(const Timer& total,
                                          double recordSeconds, bool rows) {
-  // The batch schedule is sized for the workers that will actually run (see
-  // the hardware cap below), so a 1-core machine does not pay 4 cores' worth
-  // of per-batch replay overhead.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const sched::BatchPlan plan = buildPlan(std::min(jobs_, hw));
+  // The batch schedule is sized for the workers that will actually run (the
+  // pool caps them at the hardware's concurrency), so a 1-core machine does
+  // not pay 4 cores' worth of per-batch replay overhead. Results are
+  // identical for any worker and batch count.
+  const sched::BatchPlan plan = buildPlan(cappedWorkers(jobs_));
   const std::vector<std::pair<std::uint32_t, std::uint32_t>>& batches =
       plan.slices;
   std::vector<FaultSimResult> batchResults(batches.size());
-  std::atomic<std::uint32_t> nextBatch{0};
-  const auto worker = [&]() {
-    for (;;) {
-      const std::uint32_t b =
-          nextBatch.fetch_add(1, std::memory_order_relaxed);
-      if (b >= batches.size()) return;
-      const auto [begin, end] = batches[b];
-      // Gather the batch's faults through the schedule's permutation (the
-      // identity plan takes the straight copy below).
-      std::vector<Fault> gathered;
-      if (plan.order.empty()) {
-        gathered.assign(faults_.all().begin() + begin,
-                        faults_.all().begin() + end);
-      } else {
-        gathered.reserve(end - begin);
-        for (std::uint32_t pos = begin; pos < end; ++pos) {
-          gathered.push_back(faults_.all()[plan.order[pos]]);
-        }
+  forEachClaimed(batches.size(), jobs_, [&](std::size_t b) {
+    const auto [begin, end] = batches[b];
+    // Gather the batch's faults through the schedule's permutation (the
+    // identity plan takes the straight copy below).
+    std::vector<Fault> gathered;
+    if (plan.order.empty()) {
+      gathered.assign(faults_.all().begin() + begin,
+                      faults_.all().begin() + end);
+    } else {
+      gathered.reserve(end - begin);
+      for (std::uint32_t pos = begin; pos < end; ++pos) {
+        gathered.push_back(faults_.all()[plan.order[pos]]);
       }
-      FaultList batch(std::move(gathered));
-      // Every batch replays entirely from the trace: workers never touch
-      // the sequence or the source.
-      ConcurrentFaultSimulator sim(net_, batch, options_, nullptr,
-                                   checkpoint_.get());
-      std::vector<PatternStat> perPattern;
-      if (rows) perPattern.reserve(checkpoint_->numPatterns());
-      MaterializingRowSink sink(perPattern);
-      batchResults[b] = sim.runReplay(rows ? &sink : nullptr);
-      batchResults[b].perPattern = std::move(perPattern);
     }
-  };
-
-  // More threads than cores only adds contention (the batch queue already
-  // decouples batch count from worker count), so the effective worker count
-  // is capped at the hardware's concurrency. Results are identical for any
-  // worker and batch count.
-  const unsigned workers = std::min<std::size_t>(
-      std::min(jobs_, hw), std::max<std::size_t>(1, batches.size()));
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::exception_ptr> errors(workers);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        try {
-          worker();
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-  }
+    FaultList batch(std::move(gathered));
+    // Every batch replays entirely from the trace: workers never touch the
+    // sequence or the source.
+    ConcurrentFaultSimulator sim(net_, batch, options_, nullptr,
+                                 checkpoint_.get());
+    std::vector<PatternStat> perPattern;
+    if (rows) perPattern.reserve(checkpoint_->numPatterns());
+    MaterializingRowSink sink(perPattern);
+    batchResults[b] = sim.runReplay(rows ? &sink : nullptr);
+    batchResults[b].perPattern = std::move(perPattern);
+  });
 
   FaultSimResult merged = mergeShardResults(
       batchResults, plan.slices, checkpoint_->numPatterns(), checkpoint_.get(),

@@ -66,12 +66,14 @@ namespace fmossim {
 
 /// FaultSimulator that replays a shared good-machine checkpoint in one
 /// concurrent engine per fault batch, scheduled work-stealing style across
-/// `jobs` threads, and deterministically merges the batch results.
+/// `jobs` workers (the calling thread and jobs - 1 spawned threads), and
+/// deterministically merges the batch results.
 class ShardedRunner : public FaultSimulator {
  public:
   /// `jobs` is clamped to [1, faults.size()] (a worker per fault at most);
-  /// at run time the thread count is additionally capped at the hardware
-  /// concurrency (the batch queue decouples batch count from worker count).
+  /// at run time the worker count is additionally capped at the hardware
+  /// concurrency (the batch queue decouples batch count from worker count;
+  /// see util/parallel.hpp).
   /// `batchFaults` sets the fault-batch size: 0 selects the auto schedule
   /// (see makeBatches), any other value fixed-size batches of that many
   /// faults.
@@ -156,11 +158,12 @@ class ShardedRunner : public FaultSimulator {
 
   /// The contiguous work-stealing batch schedule: contiguous, ascending,
   /// covering [0, numFaults). batchFaults > 0 yields fixed-size batches; 0
-  /// (auto) yields ~4 batches per worker, floored at 32 faults so per-batch
-  /// checkpoint-replay overhead stays amortized. Deterministic — workers
-  /// only race for batch *claims*, never for boundaries. Delegates to
-  /// sched::contiguousBatches (kept as a static here for the scheduler unit
-  /// tests and older callers).
+  /// (auto) yields ~4 batches per worker of at least 32 faults, so per-batch
+  /// checkpoint-replay overhead stays amortized, but no batch larger than
+  /// ceil(numFaults / jobs), so every worker gets work on a small job.
+  /// Deterministic — workers only race for batch *claims*, never for
+  /// boundaries. Delegates to sched::contiguousBatches (kept as a static here
+  /// for the scheduler unit tests and older callers).
   static std::vector<std::pair<std::uint32_t, std::uint32_t>> makeBatches(
       std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults);
 

@@ -25,19 +25,25 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> contiguousBatches(
   std::vector<std::pair<std::uint32_t, std::uint32_t>> batches;
   if (numFaults == 0) return batches;
   jobs = std::max(1u, jobs);
-  // Auto schedule: ~4 batches per worker, floored at 32 faults so the
-  // per-batch checkpoint-replay overhead stays amortized. Per-fault cost is
-  // wildly non-uniform under dropping (a batch whose faults all drop early
-  // exits almost immediately; one undetected fault keeps its batch running
-  // the whole sequence), so the queue needs several times more batches than
-  // workers for stealing to level the load — measured on RAM256, this
-  // schedule more than halves the critical path vs. one-slice-per-worker at
-  // a few percent of added total work.
+  // Auto schedule: ~4 batches per worker of at least 32 faults each, but
+  // never a batch larger than one worker's share, ceil(n / jobs). Per-fault
+  // cost is wildly non-uniform under dropping (a batch whose faults all drop
+  // early exits almost immediately; one undetected fault keeps its batch
+  // running the whole sequence), so the queue needs several times more
+  // batches than workers for stealing to level the load — measured on
+  // RAM256, this schedule more than halves the critical path vs.
+  // one-slice-per-worker at a few percent of added total work. The 32-fault
+  // floor keeps per-batch checkpoint-replay overhead amortized; the
+  // one-share cap keeps a small job (32 faults at jobs = 2) from collapsing
+  // into a single batch that runs on one thread.
+  const std::uint64_t n = numFaults;
+  const std::uint64_t perWorker = (n + jobs - 1) / jobs;
+  const std::uint64_t quarterShare = (n + 4ull * jobs - 1) / (4ull * jobs);
   const std::uint32_t size =
       batchFaults > 0
           ? batchFaults
-          : std::max<std::uint32_t>(32,
-                                    (numFaults + 4 * jobs - 1) / (4 * jobs));
+          : static_cast<std::uint32_t>(std::max<std::uint64_t>(
+                quarterShare, std::min<std::uint64_t>(32, perWorker)));
   std::uint32_t begin = 0;
   while (begin < numFaults) {
     // min before adding: begin + size may not fit in 32 bits.

@@ -76,9 +76,11 @@ struct BatchPlan {
 
 /// The contiguous batch boundaries (the layout ShardedRunner::makeBatches
 /// has always produced): ascending, covering [0, numFaults), batchFaults > 0
-/// fixed-size, 0 the auto schedule (~4 batches per worker, floored at 32
-/// faults). Any batchFaults up to UINT32_MAX is valid; one larger than
-/// numFaults yields a single batch.
+/// fixed-size, 0 the auto schedule: max(ceil(n / (4 jobs)),
+/// min(32, ceil(n / jobs))) faults per batch, i.e. ~4 batches per worker of
+/// at least 32 faults, but never more than one worker's share. Any
+/// batchFaults up to UINT32_MAX is valid; one larger than numFaults yields a
+/// single batch.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> contiguousBatches(
     std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults);
 

@@ -1,13 +1,11 @@
 #include "seu/seu_campaign.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <map>
-#include <mutex>
 #include <span>
-#include <thread>
 
 #include "util/hash.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace fmossim::seu {
@@ -117,62 +115,35 @@ CampaignResult runSeuCampaign(const Network& net, const TestSequence& seq,
   // sequence simulation each — and parallelizes trivially).
   const std::size_t numItems =
       options.naive ? campaign.size() : groups.size();
-  std::atomic<std::size_t> nextItem{0};
   std::atomic<std::uint64_t> nodeEvals{0};
-  std::mutex errorMutex;
-  std::exception_ptr firstError;
-
-  const auto worker = [&]() {
-    try {
-      for (;;) {
-        const std::size_t item = nextItem.fetch_add(1);
-        if (item >= numItems) return;
-        if (options.checkPoint) options.checkPoint();
-        if (options.naive) {
-          const std::uint32_t i = static_cast<std::uint32_t>(item);
-          ConcurrentFaultSimulator sim(net, 1u, engineOpts);
-          const TransientFault spec = campaign[i];
-          const FaultSimResult res =
-              sim.runTransient(seq, std::span<const TransientFault>(&spec, 1));
-          result.injections[i].outcome = classify(sim, 0, res);
-          result.injections[i].detectedAtPattern = res.detectedAtPattern[0];
-          nodeEvals.fetch_add(res.totalNodeEvals);
-        } else {
-          const Group& g = groups[item];
-          std::vector<TransientFault> specs;
-          specs.reserve(g.indices.size());
-          for (const std::uint32_t i : g.indices) specs.push_back(campaign[i]);
-          ConcurrentFaultSimulator sim(
-              net, static_cast<std::uint32_t>(specs.size()), engineOpts,
-              ck.get(), g.atPattern);
-          const FaultSimResult res = sim.runTransientTail(specs);
-          for (std::uint32_t k = 0; k < g.indices.size(); ++k) {
-            const std::uint32_t i = g.indices[k];
-            result.injections[i].outcome = classify(sim, k, res);
-            result.injections[i].detectedAtPattern = res.detectedAtPattern[k];
-          }
-          nodeEvals.fetch_add(res.totalNodeEvals);
-        }
+  forEachClaimed(numItems, options.jobs, [&](std::size_t item) {
+    if (options.checkPoint) options.checkPoint();
+    if (options.naive) {
+      const std::uint32_t i = static_cast<std::uint32_t>(item);
+      ConcurrentFaultSimulator sim(net, 1u, engineOpts);
+      const TransientFault spec = campaign[i];
+      const FaultSimResult res =
+          sim.runTransient(seq, std::span<const TransientFault>(&spec, 1));
+      result.injections[i].outcome = classify(sim, 0, res);
+      result.injections[i].detectedAtPattern = res.detectedAtPattern[0];
+      nodeEvals.fetch_add(res.totalNodeEvals);
+    } else {
+      const Group& g = groups[item];
+      std::vector<TransientFault> specs;
+      specs.reserve(g.indices.size());
+      for (const std::uint32_t i : g.indices) specs.push_back(campaign[i]);
+      ConcurrentFaultSimulator sim(
+          net, static_cast<std::uint32_t>(specs.size()), engineOpts,
+          ck.get(), g.atPattern);
+      const FaultSimResult res = sim.runTransientTail(specs);
+      for (std::uint32_t k = 0; k < g.indices.size(); ++k) {
+        const std::uint32_t i = g.indices[k];
+        result.injections[i].outcome = classify(sim, k, res);
+        result.injections[i].detectedAtPattern = res.detectedAtPattern[k];
       }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(errorMutex);
-      if (!firstError) firstError = std::current_exception();
-      nextItem.store(numItems);  // drain remaining claims
+      nodeEvals.fetch_add(res.totalNodeEvals);
     }
-  };
-
-  const unsigned jobs =
-      std::max(1u, std::min<unsigned>(options.jobs,
-                                      static_cast<unsigned>(numItems)));
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
-  if (firstError) std::rethrow_exception(firstError);
+  });
 
   for (const InjectionResult& r : result.injections) {
     switch (r.outcome) {

@@ -48,8 +48,10 @@ struct InjectionResult {
 };
 
 struct CampaignOptions {
-  /// Worker threads claiming injection groups (replay mode) or single
-  /// injections (naive mode). Results are bit-identical for every value.
+  /// Workers claiming injection groups (replay mode) or single injections
+  /// (naive mode): the calling thread plus up to jobs - 1 spawned threads,
+  /// capped at the hardware's concurrency (see util/parallel.hpp). Results
+  /// are bit-identical for every value.
   unsigned jobs = 1;
   DetectionPolicy policy = DetectionPolicy::DefiniteOnly;
   SimOptions sim;

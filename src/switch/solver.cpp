@@ -111,9 +111,8 @@ void SteadyStateSolver::relaxValue(const Vicinity& vic, bool wantHigh,
 void SteadyStateSolver::solveDirect(const Vicinity& vic,
                                     std::vector<State>& out) {
   const auto m = static_cast<std::uint32_t>(vic.size());
-  // Small fixed-size scratch: direct vicinities are almost always two or
-  // three members, and heap-backed per-solve assigns would dominate the
-  // math. Only edge-free vicinities can exceed it.
+  // Fixed-size scratch: heap-backed per-solve assigns would dominate the
+  // math on small vicinities. Only edge-free vicinities can exceed it.
   Strength defBuf[kSmallVicinity], hBuf[kSmallVicinity], lBuf[kSmallVicinity];
   Strength* def = defBuf;
   Strength* h = hBuf;
@@ -136,6 +135,21 @@ void SteadyStateSolver::solveDirect(const Vicinity& vic,
     f[to] = nd;
     return true;
   };
+  // Applies `step` to every edge until a whole pass changes nothing, sweeping
+  // forward and reversed on alternate passes.
+  const auto sweep = [&vic](const auto& step) {
+    bool reversed = false;
+    for (bool changed = !vic.edges.empty(); changed; reversed = !reversed) {
+      changed = false;
+      if (reversed) {
+        for (auto e = vic.edges.rbegin(); e != vic.edges.rend(); ++e) {
+          changed |= step(*e);
+        }
+      } else {
+        for (const auto& e : vic.edges) changed |= step(e);
+      }
+    }
+  };
   // def per member: own size vs strongest definite input, then relaxed over
   // definite edges until no value changes.
   for (std::uint32_t i = 0; i < m; ++i) def[i] = vic.memberSize[i];
@@ -144,14 +158,12 @@ void SteadyStateSolver::solveDirect(const Vicinity& vic,
       def[ie.member] = ie.strength;
     }
   }
-  for (bool changed = !vic.edges.empty(); changed;) {
-    changed = false;
-    for (const auto& e : vic.edges) {
-      if (!e.definite) continue;
-      changed |= pass(def, e.a, e.b, e.strength);
-      changed |= pass(def, e.b, e.a, e.strength);
-    }
-  }
+  sweep([&](const Vicinity::Edge& e) {
+    if (!e.definite) return false;
+    bool changed = pass(def, e.a, e.b, e.strength);
+    changed |= pass(def, e.b, e.a, e.strength);
+    return changed;
+  });
   // H / L per member: charge source (blocked by a strictly stronger definite
   // signal) and input sources (blocked likewise)...
   for (std::uint32_t i = 0; i < m; ++i) {
@@ -173,15 +185,13 @@ void SteadyStateSolver::solveDirect(const Vicinity& vic,
     }
   }
   // ...then relaxed over every edge until no value changes.
-  for (bool changed = !vic.edges.empty(); changed;) {
-    changed = false;
-    for (const auto& e : vic.edges) {
-      changed |= pass(h, e.a, e.b, e.strength);
-      changed |= pass(h, e.b, e.a, e.strength);
-      changed |= pass(l, e.a, e.b, e.strength);
-      changed |= pass(l, e.b, e.a, e.strength);
-    }
-  }
+  sweep([&](const Vicinity::Edge& e) {
+    bool changed = pass(h, e.a, e.b, e.strength);
+    changed |= pass(h, e.b, e.a, e.strength);
+    changed |= pass(l, e.a, e.b, e.strength);
+    changed |= pass(l, e.b, e.a, e.strength);
+    return changed;
+  });
   for (std::uint32_t i = 0; i < m; ++i) {
     const bool hi = h[i] > 0;
     const bool lo = l[i] > 0;

@@ -55,6 +55,16 @@ class SteadyStateSolver {
     solves_ = 0;
   }
 
+  /// Largest vicinity with edges solved by direct sweeps on stack arrays;
+  /// larger ones take the CSR build and the bucket queues, which bound the
+  /// worst case on long chains, where repeated sweeps cost O(members x
+  /// edges). Both paths reach the same unique fixpoint. Where member
+  /// evaluations fall (counted on the benchmark's workloads): on paper
+  /// RAM256 replay 95% are in vicinities of at most 4 members and 3% in
+  /// 17..64-member ones; on the service's generated 24..48-node tenants 64%
+  /// are in 17..64-member vicinities, which is why the bound is 64.
+  static constexpr std::uint32_t kSmallVicinity = 64;
+
  private:
   // Directed arc of the dense vicinity graph.
   struct Arc {
@@ -68,19 +78,13 @@ class SteadyStateSolver {
   // Relaxes H (wantHigh=true: sources with value 1 or X) or L into `field`.
   void relaxValue(const Vicinity& vic, bool wantHigh, std::vector<Strength>& field);
 
-  // Largest vicinity with edges solved by solveDirect; larger ones take the
-  // CSR build and the bucket queues, which stay efficient on long chains
-  // where repeated sweeps cost O(members x edges).
-  static constexpr std::uint32_t kSmallVicinity = 16;
-
   // Direct path for edge-free vicinities of any size and for vicinities of
   // at most kSmallVicinity members: the same three relaxations, run as
-  // repeated sweeps over vic.edges on stack arrays until no value changes.
-  // A max-min fixpoint is unique, so every result equals the bucketed
-  // path's. This is the overwhelmingly common case in practice (mean
-  // vicinity size on the paper's RAM workloads is ~1.3 members, and nearly
-  // every vicinity with edges has two or three), so it bypasses the CSR build
-  // and the bucket queues entirely.
+  // repeated sweeps over vic.edges on stack arrays until no value changes,
+  // alternating forward and reversed edge order. A chain or tree whose
+  // edges are listed outward from its driven end (or inward) then settles
+  // in about three passes, whichever way it is listed. A max-min fixpoint is
+  // unique, so every result equals the bucketed path's.
   void solveDirect(const Vicinity& vic, std::vector<State>& out);
 
   // Bucket-queue helpers over strength levels.

@@ -275,7 +275,8 @@ TEST(SchedulerMatrixTest, HistorySidecarRejectsMalformedFiles) {
 }
 
 // The batch schedule itself: contiguous, ascending, covering, respecting
-// the fixed-size knob and the auto floor.
+// the fixed-size knob and the auto rule (at least 32 faults a batch, but
+// never more than one worker's share).
 TEST(SchedulerMatrixTest, MakeBatchesCoversUniverse) {
   for (const std::uint32_t n : {0u, 1u, 31u, 32u, 100u, 1398u}) {
     for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
@@ -293,10 +294,66 @@ TEST(SchedulerMatrixTest, MakeBatchesCoversUniverse) {
             EXPECT_LE(end - begin, batch);
           }
         } else if (n > 0) {
-          // Auto: at most ceil(n/32) batches (the 32-fault floor).
-          EXPECT_LE(batches.size(), (n + 31) / 32);
+          // Auto: no batch past ceil(n/jobs), so every worker can get one;
+          // at most max(ceil(n/32), jobs) batches, so none is smaller than
+          // 32 faults unless that is needed to feed every worker.
+          for (const auto& [begin, end] : batches) {
+            EXPECT_LE(end - begin, (n + jobs - 1) / jobs)
+                << "n=" << n << " jobs=" << jobs;
+          }
+          EXPECT_LE(batches.size(), std::max<std::size_t>((n + 31) / 32, jobs))
+              << "n=" << n << " jobs=" << jobs;
         }
       }
+    }
+  }
+}
+
+// The auto plan's fixed points: a 32-fault job at jobs=2 splits in two
+// halves, while RAM256's 1398 faults keep 8 batches of at most 175 and 96
+// faults keep 3 batches of 32.
+TEST(SchedulerMatrixTest, AutoPlanSplitsSmallJobsAcrossWorkers) {
+  using Slices = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  EXPECT_EQ(ShardedRunner::makeBatches(32, 2, 0), (Slices{{0, 16}, {16, 32}}));
+  EXPECT_EQ(ShardedRunner::makeBatches(96, 2, 0),
+            (Slices{{0, 32}, {32, 64}, {64, 96}}));
+  const Slices ram256 = ShardedRunner::makeBatches(1398, 2, 0);
+  ASSERT_EQ(ram256.size(), 8u);
+  for (std::size_t b = 0; b < ram256.size(); ++b) {
+    EXPECT_EQ(ram256[b].first, 175 * b);
+  }
+  EXPECT_EQ(ram256.back().second, 1398u);
+}
+
+// A 32-fault generated workload at jobs=2 runs as two 16-fault batches and
+// merges bit-identical to jobs=1: checksum, nodeEvals, rows and maxAlive.
+TEST(SchedulerMatrixTest, SmallJobSplitMergesBitIdentical) {
+  GenOptions gen;
+  gen.seed = 7;
+  gen.numNodes = 24;
+  gen.numInputs = 5;
+  gen.numFaults = 32;
+  gen.numPatterns = 16;
+  const GeneratedWorkload g = generateWorkload(gen);
+  ASSERT_EQ(g.faults.size(), 32u);
+  ASSERT_EQ(ShardedRunner::makeBatches(32, 2, 0).size(), 2u);
+  for (const bool drop : {true, false}) {
+    EngineOptions opts;
+    opts.policy = DetectionPolicy::AnyDifference;
+    opts.dropDetected = drop;
+    Engine single(g.net, g.faults, opts);
+    const FaultSimResult ref = single.run(g.seq);
+    ASSERT_GT(ref.numDetected, 0u);
+    opts.jobs = 2;
+    Engine split(g.net, g.faults, opts);
+    const FaultSimResult got = split.run(g.seq);
+    const std::string label = drop ? "drop=on" : "drop=off";
+    expectEqualResults(ref, got, label);
+    EXPECT_EQ(got.totalNodeEvals, ref.totalNodeEvals) << label;
+    EXPECT_EQ(got.maxAlive, ref.maxAlive) << label;
+    for (std::size_t pi = 0; pi < ref.perPattern.size(); ++pi) {
+      ASSERT_EQ(got.perPattern[pi].nodeEvals, ref.perPattern[pi].nodeEvals)
+          << label << " pattern " << pi;
     }
   }
 }
