@@ -27,13 +27,18 @@ std::size_t vecBytes(const std::vector<T>& v) {
 
 // --- chunk (de)serialization -------------------------------------------------
 //
-// A spilled chunk is six raw POD arrays behind a count header. The file is
-// private to the process (created unlinked, read back by the same build), so
-// native layout is fine — no endianness or padding concerns.
+// A spilled chunk is six raw POD arrays behind a count header (the end-bit
+// word count follows from the member count). The file is private to the
+// process (created unlinked, read back by the same build), so native layout
+// is fine — no endianness or padding concerns.
 
 struct BlockHeader {
-  std::uint32_t settles, phases, vics, members, changes, inputs;
+  std::uint32_t settles, phases, members, changes, inputs;
 };
+
+std::uint32_t endWords(std::size_t members) {
+  return static_cast<std::uint32_t>((members + 63) >> 6);
+}
 
 template <typename T>
 void appendRaw(std::string& out, const std::vector<T>& v) {
@@ -60,15 +65,14 @@ std::string encodeBlock(const GoodMachineCheckpoint::SettleBlock& b) {
   std::string out;
   const BlockHeader h{static_cast<std::uint32_t>(b.settles.size()),
                       static_cast<std::uint32_t>(b.phases.size()),
-                      static_cast<std::uint32_t>(b.vics.size()),
                       static_cast<std::uint32_t>(b.members.size()),
                       static_cast<std::uint32_t>(b.changes.size()),
                       static_cast<std::uint32_t>(b.inputChanges.size())};
   out.append(reinterpret_cast<const char*>(&h), sizeof h);
   appendRaw(out, b.settles);
   appendRaw(out, b.phases);
-  appendRaw(out, b.vics);
   appendRaw(out, b.members);
+  appendRaw(out, b.vicinityEnds);
   appendRaw(out, b.changes);
   appendRaw(out, b.inputChanges);
   return out;
@@ -83,8 +87,8 @@ void decodeBlock(const char* p, std::size_t size,
   p += sizeof h;
   p = readRaw(p, end, b.settles, h.settles);
   p = readRaw(p, end, b.phases, h.phases);
-  p = readRaw(p, end, b.vics, h.vics);
   p = readRaw(p, end, b.members, h.members);
+  p = readRaw(p, end, b.vicinityEnds, endWords(h.members));
   p = readRaw(p, end, b.changes, h.changes);
   p = readRaw(p, end, b.inputChanges, h.inputs);
   FMOSSIM_ASSERT(p == end, "checkpoint spill chunk has trailing bytes");
@@ -93,14 +97,14 @@ void decodeBlock(const char* p, std::size_t size,
 }  // namespace
 
 std::size_t GoodMachineCheckpoint::SettleBlock::bytes() const {
-  return vecBytes(settles) + vecBytes(phases) + vecBytes(vics) +
-         vecBytes(members) + vecBytes(changes) + vecBytes(inputChanges);
+  return vecBytes(settles) + vecBytes(phases) + vecBytes(members) +
+         vecBytes(vicinityEnds) + vecBytes(changes) + vecBytes(inputChanges);
 }
 
 std::size_t GoodMachineCheckpoint::SettleBlock::contentBytes() const {
   return settles.size() * sizeof(Settle) + phases.size() * sizeof(Phase) +
-         vics.size() * sizeof(VicinitySpan) + members.size() * sizeof(NodeId) +
-         changes.size() * sizeof(Change) + inputChanges.size() * sizeof(Change);
+         members.size() * sizeof(NodeId) + vicinityEnds.size() * 8 +
+         (changes.size() + inputChanges.size()) * sizeof(Change);
 }
 
 // --- spill state ------------------------------------------------------------
@@ -248,6 +252,8 @@ GoodMachineCheckpoint GoodMachineCheckpoint::recordImpl(
     ck.spill_ = std::make_unique<SpillState>();
     ck.spill_->open(spillDir);
   }
+  FMOSSIM_ASSERT(net.numNodes() < (std::uint32_t{1} << 30),
+                 "checkpoint changes pack a node id into 30 bits");
   // One fingerprint pass first (the source rewinds around it) — the
   // identical fold to fingerprint(seq), so a streamed recording of a
   // generator-backed sequence keys the same as its materialized twin.
@@ -281,16 +287,10 @@ GoodMachineCheckpoint GoodMachineCheckpoint::recordImpl(
       ck.settleCount_ > 0 && ck.patternEndsAtSettle(ck.settleCount_ - 1),
       "checkpoint recording lost a settle");
   // Push-back growth leaves up to 2x slack in the resident vectors; return
-  // it so memoryBytes() reports (and the budget governs) real content.
-  ck.settles_.shrink_to_fit();
-  ck.phases_.shrink_to_fit();
-  ck.vics_.shrink_to_fit();
-  ck.members_.shrink_to_fit();
-  ck.changes_.shrink_to_fit();
-  ck.inputChanges_.shrink_to_fit();
+  // it so memoryBytes() reports (and the budget governs) real content
+  // (finish() trimmed the trace).
   ck.initialGoodStates_.shrink_to_fit();
   ck.perPatternGoodEvals_.shrink_to_fit();
-  ck.patternEndBits_.shrink_to_fit();
   ck.outputs_.shrink_to_fit();
   if (ck.spill_ != nullptr) {
     ck.spill_->blockOff.shrink_to_fit();
@@ -337,11 +337,11 @@ std::vector<State> GoodMachineCheckpoint::goodStateAfterPattern(
   for (std::uint32_t s = 1; s < settleEnd; ++s) {
     reader.enterSettle(s);
     for (const Change& ch : reader.inputChanges()) {
-      state[ch.node.value] = ch.value;
+      state[ch.node().value] = ch.value();
     }
     for (std::uint32_t ph = 0; ph < reader.phaseCount(); ++ph) {
       for (const Change& ch : reader.changes(ph)) {
-        state[ch.node.value] = ch.value;
+        state[ch.node().value] = ch.value();
       }
     }
   }
@@ -349,9 +349,9 @@ std::vector<State> GoodMachineCheckpoint::goodStateAfterPattern(
 }
 
 std::size_t GoodMachineCheckpoint::fixedBytes() const {
-  std::size_t n = vecBytes(settles_) + vecBytes(initialGoodStates_) +
-                  vecBytes(finalGoodStates_) + vecBytes(perPatternGoodEvals_) +
-                  vecBytes(patternEndBits_) + vecBytes(outputs_);
+  std::size_t n = vecBytes(initialGoodStates_) + vecBytes(finalGoodStates_) +
+                  vecBytes(perPatternGoodEvals_) + vecBytes(patternEndBits_) +
+                  vecBytes(outputs_);
   if (spill_ != nullptr) {
     n += vecBytes(spill_->blockOff) + vecBytes(spill_->firstSettle);
   }
@@ -359,9 +359,7 @@ std::size_t GoodMachineCheckpoint::fixedBytes() const {
 }
 
 std::size_t GoodMachineCheckpoint::memoryBytes() const {
-  std::size_t n = fixedBytes() + vecBytes(phases_) + vecBytes(vics_) +
-                  vecBytes(members_) + vecBytes(changes_) +
-                  vecBytes(inputChanges_);
+  std::size_t n = fixedBytes() + trace_.bytes();
   if (spill_ != nullptr) {
     std::lock_guard<std::mutex> lock(spill_->mu);
     n += spill_->cachedBytes;
@@ -436,29 +434,19 @@ CheckpointReader::CheckpointReader(const GoodMachineCheckpoint& ck)
 void CheckpointReader::enterSettle(std::uint32_t i) {
   FMOSSIM_ASSERT(i < ck_->numSettles(), "reader settle index out of range");
   if (ck_->spill_ == nullptr) {
-    // In-memory mode: point straight into the flat arenas (offsets inside
-    // Phase/VicinitySpan entries are global, so the bases are the arena
-    // starts).
-    const GoodMachineCheckpoint::Settle& s = ck_->settles_[i];
-    phaseCount_ = s.phaseCount;
-    inputCount_ = s.inputCount;
-    phases_ = ck_->phases_.data() + s.phaseOff;
-    vicBase_ = ck_->vics_.data();
-    memberBase_ = ck_->members_.data();
-    changeBase_ = ck_->changes_.data();
-    inputs_ = ck_->inputChanges_.data() + s.inputOff;
+    block_ = &ck_->trace_;
+    settle_ = block_->settles[i];
     return;
   }
-  // Spilled mode: find the chunk holding settle i, pin its decoded block
-  // (offsets are chunk-local). Consecutive settles of one chunk — the
-  // sequential replay fast path — reuse the pin without touching the
-  // window cache. On a chunk switch, release the previous pin BEFORE
-  // loading: spans into it are invalidated by this call anyway, and
-  // holding it across the load would make the window need two chunks per
-  // reader (old + new), overshooting the budget exactly when it is
-  // tightest. With the pin dropped first, the eviction pass inside
-  // loadBlock can reclaim the previous chunk, so one chunk per reader is
-  // the true floor (as documented on memoryBytes()).
+  // Spilled mode: find the chunk holding settle i, pin its decoded block.
+  // Consecutive settles of one chunk — the sequential replay fast path —
+  // reuse the pin without touching the window cache. On a chunk switch,
+  // release the previous pin BEFORE loading: spans into it are invalidated
+  // by this call anyway, and holding it across the load would make the
+  // window need two chunks per reader (old + new), overshooting the budget
+  // exactly when it is tightest. With the pin dropped first, the eviction
+  // pass inside loadBlock can reclaim the previous chunk, so one chunk per
+  // reader is the true floor (as documented on memoryBytes()).
   const std::vector<std::uint32_t>& fs = ck_->spill_->firstSettle;
   const auto c = static_cast<std::uint32_t>(
       std::upper_bound(fs.begin(), fs.end(), i) - fs.begin() - 1);
@@ -467,14 +455,32 @@ void CheckpointReader::enterSettle(std::uint32_t i) {
     pin_ = ck_->loadBlock(c);
     chunk_ = c;
   }
-  const GoodMachineCheckpoint::Settle& s = pin_->settles[i - fs[c]];
-  phaseCount_ = s.phaseCount;
-  inputCount_ = s.inputCount;
-  phases_ = pin_->phases.data() + s.phaseOff;
-  vicBase_ = pin_->vics.data();
-  memberBase_ = pin_->members.data();
-  changeBase_ = pin_->changes.data();
-  inputs_ = pin_->inputChanges.data() + s.inputOff;
+  block_ = pin_.get();
+  settle_ = block_->settles[i - fs[c]];
+}
+
+std::uint32_t CheckpointReader::vicinityFirst(std::uint32_t g) const {
+  // Just past the last end bit below g, searched a word at a time. A
+  // phase's first member follows the previous phase's last, which ends a
+  // vicinity, so the search never leaves g's phase.
+  const std::uint64_t* bits = block_->vicinityEnds.data();
+  std::uint32_t w = g >> 6;
+  std::uint64_t word = bits[w] & ((std::uint64_t{1} << (g & 63)) - 1);
+  while (word == 0) {
+    if (w == 0) return 0;
+    word = bits[--w];
+  }
+  return w * 64 + 64 - static_cast<std::uint32_t>(std::countl_zero(word));
+}
+
+std::uint32_t CheckpointReader::vicinityLast(std::uint32_t g) const {
+  // A phase's last member always ends a vicinity, so the search stops
+  // inside the phase.
+  const std::uint64_t* bits = block_->vicinityEnds.data();
+  std::uint32_t w = g >> 6;
+  std::uint64_t word = bits[w] & (~std::uint64_t{0} << (g & 63));
+  while (word == 0) word = bits[++w];
+  return w * 64 + static_cast<std::uint32_t>(std::countr_zero(word));
 }
 
 // --- CheckpointRecorder ------------------------------------------------------
@@ -492,87 +498,59 @@ CheckpointRecorder::CheckpointRecorder(GoodMachineCheckpoint& into)
 }
 
 void CheckpointRecorder::inputChange(NodeId n, State v) {
-  pendingInputs_.push_back({n, v});
+  pendingInputs_.emplace_back(n, v);
 }
 
 void CheckpointRecorder::flushChunk() {
-  if (pending_.settles.empty()) return;
-  GoodMachineCheckpoint::SettleBlock& b = pending_;
-  if (ck_.spill_ != nullptr) {
-    ck_.spill_->appendBlock(encodeBlock(b),
-                            static_cast<std::uint32_t>(b.settles.size()));
-  } else {
-    // Append the chunk to the flat arenas, promoting its local offsets to
-    // global ones — byte-for-byte the layout a direct append would build.
-    const auto phaseBase = static_cast<std::uint32_t>(ck_.phases_.size());
-    const auto vicBase = static_cast<std::uint32_t>(ck_.vics_.size());
-    const auto memberBase = static_cast<std::uint32_t>(ck_.members_.size());
-    const auto changeBase = static_cast<std::uint32_t>(ck_.changes_.size());
-    const auto inputBase = static_cast<std::uint32_t>(ck_.inputChanges_.size());
-    for (GoodMachineCheckpoint::Settle s : b.settles) {
-      s.phaseOff += phaseBase;
-      s.inputOff += inputBase;
-      ck_.settles_.push_back(s);
-    }
-    for (GoodMachineCheckpoint::Phase p : b.phases) {
-      p.vicOff += vicBase;
-      p.changeOff += changeBase;
-      ck_.phases_.push_back(p);
-    }
-    for (GoodMachineCheckpoint::VicinitySpan v : b.vics) {
-      v.memberOff += memberBase;
-      ck_.vics_.push_back(v);
-    }
-    ck_.members_.insert(ck_.members_.end(), b.members.begin(), b.members.end());
-    ck_.changes_.insert(ck_.changes_.end(), b.changes.begin(), b.changes.end());
-    ck_.inputChanges_.insert(ck_.inputChanges_.end(), b.inputChanges.begin(),
-                             b.inputChanges.end());
-  }
+  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  if (b.settles.empty()) return;
+  ck_.spill_->appendBlock(encodeBlock(b),
+                          static_cast<std::uint32_t>(b.settles.size()));
   b.settles.clear();
   b.phases.clear();
-  b.vics.clear();
   b.members.clear();
+  b.vicinityEnds.clear();
   b.changes.clear();
   b.inputChanges.clear();
 }
 
 void CheckpointRecorder::beginSettle() {
-  // In-memory mode flushes every settle (the arenas are the destination
-  // anyway); spilled mode batches settles up to the chunk byte target.
-  if (!pending_.settles.empty() &&
-      (ck_.spill_ == nullptr || pending_.contentBytes() >= chunkTarget_)) {
-    flushChunk();
-  }
-  const auto inputOff = static_cast<std::uint32_t>(pending_.inputChanges.size());
+  // In-memory mode grows the one resident block; spilled mode batches
+  // settles up to the chunk byte target.
+  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  if (ck_.spill_ != nullptr && b.contentBytes() >= chunkTarget_) flushChunk();
+  const auto inputOff = static_cast<std::uint32_t>(b.inputChanges.size());
   const auto inputCount = static_cast<std::uint32_t>(pendingInputs_.size());
-  pending_.inputChanges.insert(pending_.inputChanges.end(),
-                               pendingInputs_.begin(), pendingInputs_.end());
+  b.inputChanges.insert(b.inputChanges.end(), pendingInputs_.begin(),
+                        pendingInputs_.end());
   pendingInputs_.clear();
-  pending_.settles.push_back(
-      {static_cast<std::uint32_t>(pending_.phases.size()), 0, inputOff,
-       inputCount});
+  b.settles.push_back({static_cast<std::uint32_t>(b.phases.size()), 0,
+                       inputOff, inputCount});
   ++ck_.settleCount_;
 }
 
 void CheckpointRecorder::beginPhase() {
-  FMOSSIM_ASSERT(!pending_.settles.empty(), "phase recorded before any settle");
-  pending_.phases.push_back(
-      {static_cast<std::uint32_t>(pending_.vics.size()), 0,
-       static_cast<std::uint32_t>(pending_.changes.size()), 0});
-  ++pending_.settles.back().phaseCount;
+  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  FMOSSIM_ASSERT(!b.settles.empty(), "phase recorded before any settle");
+  b.phases.push_back({static_cast<std::uint32_t>(b.members.size()), 0,
+                      static_cast<std::uint32_t>(b.changes.size()), 0});
+  ++b.settles.back().phaseCount;
 }
 
-void CheckpointRecorder::goodVicinity(const Vicinity& vic) {
-  pending_.vics.push_back({static_cast<std::uint32_t>(pending_.members.size()),
-                           static_cast<std::uint32_t>(vic.members.size())});
-  pending_.members.insert(pending_.members.end(), vic.members.begin(),
-                          vic.members.end());
-  ++pending_.phases.back().vicCount;
+void CheckpointRecorder::goodVicinity(std::span<const NodeId> members) {
+  FMOSSIM_ASSERT(!members.empty(), "empty good vicinity recorded");
+  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  b.members.insert(b.members.end(), members.begin(), members.end());
+  const std::size_t last = b.members.size() - 1;
+  b.vicinityEnds.resize(endWords(b.members.size()), 0);
+  b.vicinityEnds[last >> 6] |= std::uint64_t{1} << (last & 63);
+  b.phases.back().memberCount += static_cast<std::uint32_t>(members.size());
 }
 
 void CheckpointRecorder::goodCommit(NodeId n, State v) {
-  pending_.changes.push_back({n, v});
-  ++pending_.phases.back().changeCount;
+  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  b.changes.emplace_back(n, v);
+  ++b.phases.back().changeCount;
 }
 
 void CheckpointRecorder::endPattern() {
@@ -590,7 +568,21 @@ void CheckpointRecorder::endPattern() {
 void CheckpointRecorder::finish() {
   FMOSSIM_ASSERT(pendingInputs_.empty(),
                  "input changes recorded after the last settle");
-  flushChunk();
+  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  if (ck_.spill_ != nullptr) {
+    flushChunk();
+    b = {};  // release the pending chunk's capacity
+  } else {
+    // Push-back growth leaves up to 2x slack; trim one vector at a time so
+    // the trace is never held twice.
+    b.settles.shrink_to_fit();
+    b.phases.shrink_to_fit();
+    b.members.shrink_to_fit();
+    b.vicinityEnds.shrink_to_fit();
+    b.changes.shrink_to_fit();
+    b.inputChanges.shrink_to_fit();
+  }
+  ck_.patternEndBits_.shrink_to_fit();
 }
 
 }  // namespace fmossim

@@ -8,10 +8,11 @@
 // captures one complete good-machine run of a test sequence as a compact
 // settle-by-settle, phase-by-phase trace:
 //
-//   * per unit-delay phase: the member lists of every vicinity the good
-//     circuit evaluated (what faulty-circuit trigger collection scans), and
-//     the committed state changes (node, new value) — coercion already
-//     applied, so replay is a pure data walk with no solver work;
+//   * per unit-delay phase: the members of every vicinity the good circuit
+//     evaluated, concatenated in evaluation order (what faulty-circuit
+//     trigger collection scans), and the committed state changes (node, new
+//     value) — coercion already applied, so replay is a pure data walk with
+//     no solver work;
 //   * per settle (one per input setting, plus the initial all-X settle):
 //     the span of phases it ran, so replay keeps the global phase counter —
 //     and therefore oscillation-coercion timing — bit-aligned with an
@@ -25,16 +26,24 @@
 //     count per pattern (so a merged sharded result can report exactly the
 //     same deterministic work counter as a jobs=1 run).
 //
+// Layout (SettleBlock): a phase spans the member arena directly, and one
+// bit per member marks the last member of each vicinity — a good vicinity
+// averages barely more than one member, so a per-vicinity span would cost
+// more than the members it points at. A change packs node and state into
+// one word. Replay walks a phase's members once and asks for a vicinity's
+// bounds (a word-wise search of the end bits) only where a member can
+// trigger a faulty circuit.
+//
 // Per-pattern good states are not stored as full snapshots: the change trace
 // *is* the snapshot store, copy-on-write style — all patterns share the one
 // change arena and goodStateAfterPattern() materializes a snapshot by
 // folding the deltas up to that pattern's last settle.
 //
-// Storage has two modes, chosen at record() time by `budgetBytes`:
+// Storage has two modes, chosen at record() time by `budgetBytes`; both
+// replay through the same SettleBlock layout:
 //
-//   * **In-memory (budget 0).** The trace lives in flat arenas (one vector
-//     per kind, settles concatenated in run order, offsets global) — ~14 MB
-//     for RAM256's 1447 patterns.
+//   * **In-memory (budget 0).** The whole trace is one resident chunk —
+//     about 4 MB for RAM256's 1447 patterns.
 //   * **Spilled (budget > 0).** The trace grows linearly with good-machine
 //     activity, so million-pattern sequences cannot hold it in RAM. Settles
 //     are batched into fixed-target *chunks* (a few KiB to 64 KiB of trace
@@ -62,7 +71,6 @@
 
 #include "patterns/pattern.hpp"
 #include "switch/network.hpp"
-#include "switch/vicinity.hpp"
 
 namespace fmossim {
 
@@ -77,22 +85,21 @@ class PatternSource;
 class GoodMachineCheckpoint {
  public:
   /// One committed good-circuit state change (post-coercion; the new value
-  /// always differs from the node's pre-phase state).
+  /// always differs from the node's pre-phase state), packed into one word
+  /// as `node << 2 | state` (recording asserts numNodes < 2^30).
   struct Change {
-    NodeId node;
-    State value;
+    std::uint32_t packed;
+
+    Change() = default;
+    Change(NodeId n, State v)
+        : packed(n.value << 2 | static_cast<std::uint32_t>(v)) {}
+    NodeId node() const { return NodeId(packed >> 2); }
+    State value() const { return static_cast<State>(packed & 3); }
   };
-  /// Member span of one good vicinity evaluation (into the members arena) —
-  /// what faulty-circuit trigger collection scans during replay.
-  struct VicinitySpan {
-    std::uint32_t memberOff;
-    std::uint32_t memberCount;
-  };
-  /// One unit-delay phase of good-circuit activity. Offsets index the
-  /// vicinity/change arenas: global in the in-memory mode, chunk-local in a
-  /// spilled chunk — CheckpointReader hides the difference.
+  /// One unit-delay phase of good-circuit activity. Offsets are local to
+  /// the SettleBlock holding the phase.
   struct Phase {
-    std::uint32_t vicOff, vicCount;        ///< span into the vicinity table
+    std::uint32_t memberOff, memberCount;  ///< span into the member arena
     std::uint32_t changeOff, changeCount;  ///< span into the change arena
   };
   /// One settle (input setting application): its span of phases, plus the
@@ -105,24 +112,24 @@ class GoodMachineCheckpoint {
     std::uint32_t phaseOff, phaseCount;
     std::uint32_t inputOff, inputCount;  ///< span into the input-change arena
   };
-  /// One chunk of consecutive settles' trace data in decodable form: what
-  /// the recorder buffers while settles run, what a spilled file block
-  /// deserializes into (offsets local to the chunk). The in-memory mode
-  /// flushes one settle per chunk into the flat arenas; the spilled mode
-  /// batches settles up to the chunk byte target before writing.
+  /// Consecutive settles' trace data in decodable form, offsets local to
+  /// the block: the whole trace of an in-memory checkpoint, or one chunk of
+  /// a spilled one (what the recorder fills and a file block decodes into).
   struct SettleBlock {
     std::vector<Settle> settles;
     std::vector<Phase> phases;
-    std::vector<VicinitySpan> vics;
+    /// Every recorded good vicinity's members, in evaluation order.
     std::vector<NodeId> members;
+    /// Bit i set iff members[i] is the last member of its vicinity.
+    std::vector<std::uint64_t> vicinityEnds;
     std::vector<Change> changes;
     std::vector<Change> inputChanges;
 
-    /// Heap footprint of the chunk's payload (window accounting; decoded
-    /// chunks are exact-sized so capacity == size).
+    /// Heap footprint of the block's payload (memory and window accounting;
+    /// finished and decoded blocks are exact-sized so capacity == size).
     std::size_t bytes() const;
     /// Content bytes regardless of vector slack (the recorder's flush
-    /// threshold — pending buffers keep their capacity across chunks).
+    /// threshold — a spilling recorder keeps its capacity across chunks).
     std::size_t contentBytes() const;
   };
 
@@ -166,38 +173,8 @@ class GoodMachineCheckpoint {
   /// one recorded; CheckpointStore keys its cache on this.
   static std::uint64_t fingerprint(const TestSequence& seq);
 
-  // --- trace accessors (in-memory mode only) ---------------------------------
-  //
-  // Replay must go through a CheckpointReader, which works in both storage
-  // modes; these direct accessors exist for tests and tools that inspect an
-  // in-memory trace and assert !spilled().
-
   /// Number of recorded settles (1 + total input settings of the sequence).
   std::uint32_t numSettles() const { return settleCount_; }
-  /// The i-th settle's phase span. In-memory mode only.
-  const Settle& settle(std::uint32_t i) const { return settles_[i]; }
-  /// Phase by global index (settle.phaseOff + k). In-memory mode only.
-  const Phase& phase(std::uint32_t i) const { return phases_[i]; }
-  /// The vicinities the good circuit evaluated in a phase, in evaluation
-  /// order (replay must preserve it: faulty-circuit seed order depends on
-  /// it). In-memory mode only.
-  std::span<const VicinitySpan> vicinities(const Phase& p) const {
-    return {vics_.data() + p.vicOff, p.vicCount};
-  }
-  /// Member nodes of one recorded vicinity. In-memory mode only.
-  std::span<const NodeId> members(const VicinitySpan& v) const {
-    return {members_.data() + v.memberOff, v.memberCount};
-  }
-  /// The state changes the good circuit committed in a phase. In-memory
-  /// mode only.
-  std::span<const Change> changes(const Phase& p) const {
-    return {changes_.data() + p.changeOff, p.changeCount};
-  }
-  /// The input-node changes applied just before a settle. In-memory mode
-  /// only.
-  std::span<const Change> inputChanges(const Settle& s) const {
-    return {inputChanges_.data() + s.inputOff, s.inputCount};
-  }
 
   // --- whole-run data --------------------------------------------------------
 
@@ -291,15 +268,10 @@ class GoodMachineCheckpoint {
   std::shared_ptr<const SettleBlock> loadBlock(std::uint32_t c) const;
 
   std::uint32_t settleCount_ = 0;  ///< total settles, both modes
-  // In-memory mode: the flat trace arenas (settles concatenated in run
-  // order; offsets global). Empty in spilled mode — there the trace lives
-  // in the backing file, indexed per chunk by SpillState.
-  std::vector<Settle> settles_;
-  std::vector<Phase> phases_;
-  std::vector<VicinitySpan> vics_;
-  std::vector<NodeId> members_;
-  std::vector<Change> changes_;
-  std::vector<Change> inputChanges_;
+  /// In-memory mode: the whole trace, one resident block. Spilled mode: the
+  /// recorder's pending chunk while recording, empty afterwards (the trace
+  /// lives in the backing file, indexed per chunk by SpillState).
+  SettleBlock trace_;
 
   std::vector<State> initialGoodStates_;  ///< after the initial all-X settle
   std::vector<State> finalGoodStates_;
@@ -334,50 +306,67 @@ class CheckpointReader {
   void enterSettle(std::uint32_t i);
 
   /// Number of phases of the current settle.
-  std::uint32_t phaseCount() const { return phaseCount_; }
-  /// The vicinities of phase `k` of the current settle, in evaluation order.
-  std::span<const GoodMachineCheckpoint::VicinitySpan> vicinities(
-      std::uint32_t k) const {
-    const GoodMachineCheckpoint::Phase& p = phases_[k];
-    return {vicBase_ + p.vicOff, p.vicCount};
+  std::uint32_t phaseCount() const { return settle_.phaseCount; }
+  /// The members of every vicinity phase `k` of the current settle
+  /// evaluated, concatenated in evaluation order.
+  std::span<const NodeId> members(std::uint32_t k) const {
+    const GoodMachineCheckpoint::Phase& p = phase(k);
+    return {block_->members.data() + p.memberOff, p.memberCount};
   }
-  /// Member nodes of one vicinity of the current settle.
-  std::span<const NodeId> members(
-      const GoodMachineCheckpoint::VicinitySpan& v) const {
-    return {memberBase_ + v.memberOff, v.memberCount};
+  /// Calls `fn(members)` once for each vicinity of phase `k` holding a
+  /// member `n` with `hot(n)`, in evaluation order — one pass over the
+  /// phase's members; bounds are searched only around hot members.
+  template <typename Hot, typename Fn>
+  void forEachHotVicinity(std::uint32_t k, Hot&& hot, Fn&& fn) const {
+    const GoodMachineCheckpoint::Phase& p = phase(k);
+    const NodeId* m = block_->members.data();
+    const std::uint32_t end = p.memberOff + p.memberCount;
+    for (std::uint32_t g = p.memberOff; g < end; ++g) {
+      if (!hot(m[g])) continue;
+      const std::uint32_t first = vicinityFirst(g);
+      const std::uint32_t last = vicinityLast(g);
+      fn(std::span<const NodeId>(m + first, last + 1 - first));
+      g = last;
+    }
   }
   /// The state changes committed in phase `k` of the current settle.
   std::span<const GoodMachineCheckpoint::Change> changes(
       std::uint32_t k) const {
-    const GoodMachineCheckpoint::Phase& p = phases_[k];
-    return {changeBase_ + p.changeOff, p.changeCount};
+    const GoodMachineCheckpoint::Phase& p = phase(k);
+    return {block_->changes.data() + p.changeOff, p.changeCount};
   }
   /// The input-node changes applied just before the current settle.
   std::span<const GoodMachineCheckpoint::Change> inputChanges() const {
-    return {inputs_, inputCount_};
+    return {block_->inputChanges.data() + settle_.inputOff,
+            settle_.inputCount};
   }
 
  private:
+  const GoodMachineCheckpoint::Phase& phase(std::uint32_t k) const {
+    return block_->phases[settle_.phaseOff + k];
+  }
+  /// First member of the vicinity holding block member `g`.
+  std::uint32_t vicinityFirst(std::uint32_t g) const;
+  /// Last member of the vicinity holding block member `g`: the first end
+  /// bit at or after `g`.
+  std::uint32_t vicinityLast(std::uint32_t g) const;
+
   const GoodMachineCheckpoint* ck_;
   /// Pin on the current chunk (spilled mode only) and its index.
   std::shared_ptr<const GoodMachineCheckpoint::SettleBlock> pin_;
   std::uint32_t chunk_ = 0;
-  const GoodMachineCheckpoint::Phase* phases_ = nullptr;
-  const GoodMachineCheckpoint::VicinitySpan* vicBase_ = nullptr;
-  const NodeId* memberBase_ = nullptr;
-  const GoodMachineCheckpoint::Change* changeBase_ = nullptr;
-  const GoodMachineCheckpoint::Change* inputs_ = nullptr;
-  std::uint32_t phaseCount_ = 0;
-  std::uint32_t inputCount_ = 0;
+  /// The block holding the current settle: the resident trace, or pin_.
+  const GoodMachineCheckpoint::SettleBlock* block_ = nullptr;
+  GoodMachineCheckpoint::Settle settle_{};
 };
 
 /// Recording sink the concurrent engine drives during a checkpoint-recording
-/// run. Buffers settles into the pending chunk; a filled chunk is appended
-/// to the in-memory arenas (every settle) or streamed to the spill file
-/// (when the chunk byte target is reached). One beginSettle() per
+/// run. Appends settles to the checkpoint's trace block: in-memory mode
+/// keeps growing it, spilled mode streams it to the spill file as a chunk
+/// whenever it reaches the chunk byte target. One beginSettle() per
 /// settleAll(), one beginPhase() per unit-delay phase, then the phase's good
 /// vicinities and commits in engine order; endPattern() after each observed
-/// pattern; finish() flushes the last chunk.
+/// pattern; finish() completes the trace.
 class CheckpointRecorder {
  public:
   /// Records into `into` (must outlive the recorder; its spill mode is
@@ -387,28 +376,28 @@ class CheckpointRecorder {
   /// Records one input-node assignment (old != new); attached to the settle
   /// the engine runs next.
   void inputChange(NodeId n, State v);
-  /// Opens the next settle (flushing the pending chunk when due).
+  /// Opens the next settle (spilling the pending chunk when due).
   void beginSettle();
   /// Opens the next phase of the current settle.
   void beginPhase();
-  /// Records one good-vicinity evaluation (member list only).
-  void goodVicinity(const Vicinity& vic);
+  /// Records one good-vicinity evaluation (its non-empty member list).
+  void goodVicinity(std::span<const NodeId> members);
   /// Records one committed good-circuit change (post-coercion, old != new).
   void goodCommit(NodeId n, State v);
   /// Marks the current settle as a pattern boundary (the engine observed
   /// outputs right after it).
   void endPattern();
-  /// Flushes the final chunk; recording is complete.
+  /// Spills the final chunk, or trims the resident trace to its content;
+  /// recording is complete.
   void finish();
 
  private:
   void flushChunk();
 
   GoodMachineCheckpoint& ck_;
-  GoodMachineCheckpoint::SettleBlock pending_;
   /// Input changes seen since the last beginSettle (owned by the next one).
   std::vector<GoodMachineCheckpoint::Change> pendingInputs_;
-  /// Spilled mode: flush the pending chunk once it holds this many content
+  /// Spilled mode: spill the pending chunk once it holds this many content
   /// bytes (small enough that the sliding window can hold several chunks
   /// under tight budgets, large enough to amortize encode/decode).
   std::size_t chunkTarget_ = 0;

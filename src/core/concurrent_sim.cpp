@@ -378,7 +378,7 @@ void ConcurrentFaultSimulator::processGoodPhase(bool coerce) {
     // Triggering is stimulus-based: even an unchanged vicinity may respond
     // differently in a diverging faulty circuit.
     collectTriggers(vic_.members);
-    if (record_ != nullptr) record_->goodVicinity(vic_);
+    if (record_ != nullptr) record_->goodVicinity(vic_.members);
   }
   // Commit (two-buffered: all vicinities were solved against pre-phase state).
   for (auto [n, v] : goodChanges_) {
@@ -485,11 +485,13 @@ void ConcurrentFaultSimulator::replayGoodPhase() {
   const std::uint32_t ph = replayPhase_++;
   // Trigger stimuli first, in recorded evaluation order: faulty-circuit seed
   // order (and therefore vicinity growth order) must match a
-  // self-simulating engine's exactly.
+  // self-simulating engine's exactly. A vicinity with no watched member
+  // cannot mark a circuit, so only the vicinities around watched members
+  // are scanned — the same marks, in the same order.
   if (aliveCount_ != 0) {
-    for (const auto& vs : replayReader_->vicinities(ph)) {
-      collectTriggers(replayReader_->members(vs));
-    }
+    replayReader_->forEachHotVicinity(
+        ph, [this](NodeId n) { return watchCount_[n.value] != 0; },
+        [this](std::span<const NodeId> vic) { collectTriggers(vic); });
   }
   // Then the commits. Recorded changes are post-coercion and always differ
   // from the node's pre-phase value, so they apply verbatim; conduction
@@ -497,16 +499,17 @@ void ConcurrentFaultSimulator::replayGoodPhase() {
   // than stored. No good events are scheduled — the next recorded phase
   // already embodies them.
   for (const auto& ch : replayReader_->changes(ph)) {
-    const NodeId n = ch.node;
+    const NodeId n = ch.node();
+    const State v = ch.value();
     if (goodOldStamp_[n.value] != phaseEpoch_) {
       goodOldStamp_[n.value] = phaseEpoch_;
       goodOldValue_[n.value] = table_.good(n);
     }
-    table_.setGood(n, ch.value);
+    table_.setGood(n, v);
     for (const TransId t : net_.node(n).gateOf) {
       const auto& tr = net_.transistor(t);
       if (tr.isFaultDevice()) continue;
-      commitGoodConduction(t, conductionState(tr.type, ch.value));
+      commitGoodConduction(t, conductionState(tr.type, v));
     }
   }
 }
@@ -917,9 +920,9 @@ bool ConcurrentFaultSimulator::applyNextPattern(PatternSource* source,
     replayBeginSettle();
     replayEntered_ = true;
     for (const auto& ch : replayReader_->inputChanges()) {
-      const State old = table_.good(ch.node);
-      table_.setGood(ch.node, ch.value);
-      scheduleSettingSeeds(ch.node, old);
+      const State old = table_.good(ch.node());
+      table_.setGood(ch.node(), ch.value());
+      scheduleSettingSeeds(ch.node(), old);
     }
     settleAll();
     if (replay_->patternEndsAtSettle(si)) return true;

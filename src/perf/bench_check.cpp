@@ -87,6 +87,18 @@ void checkScenarioAgainstBaseline(const ScenarioResult& fresh,
                        f.silent, f.latent));
     }
   }
+  // An unbudgeted checkpoint store holds whole traces, whose size is a
+  // pure function of the workload: gate it exactly. A budgeted store's
+  // residency depends on window timing, so it stays ungated.
+  if (fresh.checkpointBudget == 0 && baseline.checkpointBudget == 0 &&
+      fresh.checkpointResidentBytes != baseline.checkpointResidentBytes) {
+    issue("", format("checkpoint residentBytes drift: baseline %llu, fresh "
+                     "%llu — the trace layout changed",
+                     static_cast<unsigned long long>(
+                         baseline.checkpointResidentBytes),
+                     static_cast<unsigned long long>(
+                         fresh.checkpointResidentBytes)));
+  }
   for (const BenchRow& base : baseline.rows) {
     if (findRow(fresh, base) == nullptr) {
       issue(rowKey(base), "row missing from fresh results (matrix changed "

@@ -71,7 +71,9 @@ TEST(CheckpointTest, SettleCountMatchesSequenceStructure) {
   EXPECT_EQ(ck.numSettles(), 1u + w.seq.totalSettings());
   EXPECT_EQ(ck.numPatterns(), w.seq.size());
   // The initial settle must contain activity (the whole network evaluates).
-  EXPECT_GT(ck.settle(0).phaseCount, 0u);
+  CheckpointReader rd(ck);
+  rd.enterSettle(0);
+  EXPECT_GT(rd.phaseCount(), 0u);
 }
 
 // Replay with the full fault list in one engine must reproduce the

@@ -22,43 +22,45 @@ GeneratedWorkload windowWorkload() {
   return generateWorkload(gen);
 }
 
-/// Compares every settle a reader over `spilled` yields against the direct
-/// in-memory accessors of `mem` — the full trace content, not just results.
+using Change = GoodMachineCheckpoint::Change;
+using Members = std::vector<NodeId>;
+
+std::vector<std::uint32_t> packed(std::span<const Change> changes) {
+  std::vector<std::uint32_t> out;
+  for (const Change& c : changes) out.push_back(c.packed);
+  return out;
+}
+
+/// Every vicinity of phase `k`, in evaluation order.
+std::vector<Members> vicinities(const CheckpointReader& rd, std::uint32_t k) {
+  std::vector<Members> out;
+  rd.forEachHotVicinity(
+      k, [](NodeId) { return true; },
+      [&](std::span<const NodeId> v) { out.emplace_back(v.begin(), v.end()); });
+  return out;
+}
+
+/// Compares settle `si` as a reader over a spilled checkpoint yields it
+/// against a reader over the in-memory recording — the full trace content
+/// of every phase (members, vicinity bounds, changes), not just results.
 void expectSameSettle(const GoodMachineCheckpoint& mem, CheckpointReader& rd,
                       std::uint32_t si) {
-  const GoodMachineCheckpoint::Settle& s = mem.settle(si);
+  CheckpointReader want(mem);
+  want.enterSettle(si);
   rd.enterSettle(si);
-  ASSERT_EQ(rd.phaseCount(), s.phaseCount) << "settle " << si;
-
-  const auto inputs = rd.inputChanges();
-  const auto wantInputs = mem.inputChanges(s);
-  ASSERT_EQ(inputs.size(), wantInputs.size()) << "settle " << si;
-  for (std::size_t i = 0; i < wantInputs.size(); ++i) {
-    EXPECT_EQ(inputs[i].node, wantInputs[i].node);
-    EXPECT_EQ(inputs[i].value, wantInputs[i].value);
-  }
-
-  for (std::uint32_t k = 0; k < s.phaseCount; ++k) {
-    const GoodMachineCheckpoint::Phase& p = mem.phase(s.phaseOff + k);
-    const auto vics = rd.vicinities(k);
-    const auto wantVics = mem.vicinities(p);
-    ASSERT_EQ(vics.size(), wantVics.size())
+  ASSERT_EQ(rd.phaseCount(), want.phaseCount()) << "settle " << si;
+  EXPECT_EQ(packed(rd.inputChanges()), packed(want.inputChanges()))
+      << "settle " << si;
+  for (std::uint32_t k = 0; k < want.phaseCount(); ++k) {
+    const auto members = rd.members(k);
+    const auto wantMembers = want.members(k);
+    ASSERT_EQ(Members(members.begin(), members.end()),
+              Members(wantMembers.begin(), wantMembers.end()))
         << "settle " << si << " phase " << k;
-    for (std::size_t v = 0; v < wantVics.size(); ++v) {
-      const auto members = rd.members(vics[v]);
-      const auto wantMembers = mem.members(wantVics[v]);
-      ASSERT_EQ(std::vector<NodeId>(members.begin(), members.end()),
-                std::vector<NodeId>(wantMembers.begin(), wantMembers.end()))
-          << "settle " << si << " phase " << k << " vicinity " << v;
-    }
-    const auto changes = rd.changes(k);
-    const auto wantChanges = mem.changes(p);
-    ASSERT_EQ(changes.size(), wantChanges.size())
+    ASSERT_EQ(vicinities(rd, k), vicinities(want, k))
         << "settle " << si << " phase " << k;
-    for (std::size_t c = 0; c < wantChanges.size(); ++c) {
-      EXPECT_EQ(changes[c].node, wantChanges[c].node);
-      EXPECT_EQ(changes[c].value, wantChanges[c].value);
-    }
+    EXPECT_EQ(packed(rd.changes(k)), packed(want.changes(k)))
+        << "settle " << si << " phase " << k;
   }
 }
 

@@ -86,6 +86,30 @@ TEST(BenchCheckTest, ChecksumAndWorkDriftAlwaysFail) {
             std::string::npos);
 }
 
+TEST(BenchCheckTest, UnbudgetedCheckpointFootprintIsExact) {
+  ScenarioResult base = makeScenario();
+  base.checkpointRecordings = 1;
+  base.checkpointResidentBytes = 4096;
+  ScenarioResult fresh = base;
+  fresh.checkpointResidentBytes = 4100;
+  CheckReport report;
+  checkScenarioAgainstBaseline(fresh, base, 15.0, report);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_NE(report.issues[0].detail.find("residentBytes drift"),
+            std::string::npos);
+  // A budgeted (spilled) store's residency follows window timing: not
+  // compared, on either side.
+  base.checkpointBudget = 8192;
+  CheckReport budgeted;
+  checkScenarioAgainstBaseline(fresh, base, 15.0, budgeted);
+  EXPECT_TRUE(budgeted.ok());
+  base.checkpointBudget = 0;
+  fresh.checkpointBudget = 8192;
+  CheckReport overridden;
+  checkScenarioAgainstBaseline(fresh, base, 15.0, overridden);
+  EXPECT_TRUE(overridden.ok());
+}
+
 TEST(BenchCheckTest, MatrixChangesFailBothWays) {
   const ScenarioResult base = makeScenario();
   ScenarioResult fresh = base;
