@@ -36,11 +36,6 @@ ShardedRunner::ShardedRunner(const Network& net, FaultList faults,
   }
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> ShardedRunner::makeBatches(
-    std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults) {
-  return sched::contiguousBatches(numFaults, jobs, batchFaults);
-}
-
 FaultSimResult mergeShardResults(
     const std::vector<FaultSimResult>& shardResults,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& slices,
@@ -116,10 +111,13 @@ FaultSimResult mergeShardResults(
     // work counter equals an unsharded run's.
     merged.finalGoodStates = good->finalGoodStates();
     merged.totalNodeEvals += good->totalGoodEvals();
-    const auto& goodEvals = good->perPatternGoodEvals();
-    for (std::size_t pi = 0;
-         pi < merged.perPattern.size() && pi < goodEvals.size(); ++pi) {
-      merged.perPattern[pi].nodeEvals += goodEvals[pi];
+    if (rows) {
+      const std::vector<std::uint64_t> goodEvals = good->goodEvalsPerPattern();
+      FMOSSIM_ASSERT(goodEvals.size() == merged.perPattern.size(),
+                     "merge: checkpoint recorded a different pattern count");
+      for (std::size_t pi = 0; pi < merged.perPattern.size(); ++pi) {
+        merged.perPattern[pi].nodeEvals += goodEvals[pi];
+      }
     }
   }
   std::uint32_t cumulative = 0;
@@ -130,30 +128,15 @@ FaultSimResult mergeShardResults(
   return merged;
 }
 
-double ShardedRunner::ensureCheckpoint(const TestSequence& seq) {
-  // Hashed once: the cache check and the store lookup share it.
-  const std::uint64_t fp = GoodMachineCheckpoint::fingerprint(seq);
-  // A streamed recording lacks the per-pattern good evaluations the
-  // materialized merge adds back, so only a materialized one is reused.
-  if (checkpoint_ != nullptr && !checkpoint_->streamed() &&
-      checkpoint_->seqFingerprint() == fp) {
+double ShardedRunner::ensureCheckpoint(PatternSource& source) {
+  if (checkpoint_ != nullptr &&
+      checkpoint_->seqFingerprint() == source.fingerprint()) {
     return 0.0;
   }
   // Charge the recording time to the run that actually recorded; cache
   // hits (in this runner or a shared store) cost nothing.
   bool recordedNow = false;
-  checkpoint_ = store_->acquire(net_, seq, fp, options_, &recordedNow);
-  return recordedNow ? checkpoint_->recordSeconds() : 0.0;
-}
-
-double ShardedRunner::ensureCheckpointStream(PatternSource& source) {
-  const std::uint64_t fp = source.fingerprint();
-  if (checkpoint_ != nullptr && checkpoint_->streamed() &&
-      checkpoint_->seqFingerprint() == fp) {
-    return 0.0;
-  }
-  bool recordedNow = false;
-  checkpoint_ = store_->acquireStream(net_, source, options_, &recordedNow);
+  checkpoint_ = store_->acquire(net_, source, options_, &recordedNow);
   return recordedNow ? checkpoint_->recordSeconds() : 0.0;
 }
 
@@ -238,7 +221,8 @@ FaultSimResult ShardedRunner::runBatches(const Timer& total,
 FaultSimResult ShardedRunner::run(const TestSequence& seq,
                                   const PatternCallback& onPattern) {
   Timer total;
-  const double recordSeconds = ensureCheckpoint(seq);
+  MaterializedPatternSource source(seq);
+  const double recordSeconds = ensureCheckpoint(source);
   FaultSimResult merged = runBatches(total, recordSeconds, /*rows=*/true);
   if (onPattern) {
     for (const PatternStat& st : merged.perPattern) onPattern(st);
@@ -249,7 +233,7 @@ FaultSimResult ShardedRunner::run(const TestSequence& seq,
 FaultSimResult ShardedRunner::runStream(PatternSource& source, RowSink* sink,
                                         const PatternCallback& onPattern) {
   Timer total;
-  const double recordSeconds = ensureCheckpointStream(source);
+  const double recordSeconds = ensureCheckpoint(source);
   FaultSimResult merged = runBatches(total, recordSeconds, /*rows=*/false);
   if (sink != nullptr || onPattern) {
     // Derived rows: triples exact, per-row timing/work zero (see

@@ -75,8 +75,8 @@ class ShardedRunner : public FaultSimulator {
   /// concurrency (the batch queue decouples batch count from worker count;
   /// see util/parallel.hpp).
   /// `batchFaults` sets the fault-batch size: 0 selects the auto schedule
-  /// (see makeBatches), any other value fixed-size batches of that many
-  /// faults.
+  /// (see sched::contiguousBatches), any other value fixed-size batches of
+  /// that many faults.
   ///
   /// `store` (optional) is a shared checkpoint cache; recordings are then
   /// reused across every runner and engine holding the same store, and
@@ -116,16 +116,20 @@ class ShardedRunner : public FaultSimulator {
     return store_;
   }
 
-  /// The checkpoint used by the most recent run(), or nullptr before the
-  /// first run or after reset() (diagnostics and tests).
+  /// The checkpoint used by the most recent run() or runStream(), or
+  /// nullptr before the first run or after reset() (diagnostics and tests).
   const GoodMachineCheckpoint* checkpoint() const { return checkpoint_.get(); }
 
-  /// Runs every fault batch through a checkpoint-replaying concurrent engine
-  /// (workers steal batches from a shared queue) and merges:
+  /// Acquires the checkpoint for `seq` (the store key is the sequence
+  /// fingerprint, so a checkpoint recorded by runStream() of the same
+  /// sequence serves too, and the reverse), runs every fault batch through
+  /// a checkpoint-replaying concurrent engine (workers steal batches from a
+  /// shared queue) and merges:
   ///   * detectedAtPattern re-indexed to the global fault order,
   ///   * PatternStat rows summed per pattern (cumulative recomputed),
-  ///   * the checkpoint's good-machine node evaluations added once, making
-  ///     totalNodeEvals equal to an unsharded run's,
+  ///   * the checkpoint's good-machine node evaluations added once, in
+  ///     total and per row, making totalNodeEvals and every row's nodeEvals
+  ///     equal to an unsharded run's,
   ///   * totalSeconds = wall clock of the whole sharded run (including
   ///     checkpoint recording when this call had to record one);
   ///     totalCpuSeconds = engine time summed across batches + recording.
@@ -134,12 +138,11 @@ class ShardedRunner : public FaultSimulator {
                      const PatternCallback& onPattern) override;
   using FaultSimulator::run;
 
-  /// Native streaming run: acquires a *streamed* checkpoint for the source
-  /// (recorded by consuming it once, never materialized — distinct store
-  /// key, since streamed recordings omit the per-pattern good-eval array the
-  /// materialized merge needs), then replays every fault batch entirely from
-  /// the trace (ConcurrentFaultSimulator::runReplay — workers never touch
-  /// the source). The merged result is rowless; rows are derived from the
+  /// Native streaming run: acquires the checkpoint for the source exactly
+  /// as run() does (a miss records it by consuming the source once, never
+  /// materializing it), then replays every fault batch entirely from the
+  /// trace (ConcurrentFaultSimulator::runReplay — workers never touch the
+  /// source). The merged result is rowless; rows are derived from the
   /// merged detection record and delivered to `sink`/`onPattern` in pattern
   /// order (row triples exact, per-row timing/work fields zero — only the
   /// run-level totals are meaningful, as documented in core/row_sink.hpp).
@@ -156,25 +159,11 @@ class ShardedRunner : public FaultSimulator {
     if (ownsStore_) store_->clear();
   }
 
-  /// The contiguous work-stealing batch schedule: contiguous, ascending,
-  /// covering [0, numFaults). batchFaults > 0 yields fixed-size batches; 0
-  /// (auto) yields ~4 batches per worker of at least 32 faults, so per-batch
-  /// checkpoint-replay overhead stays amortized, but no batch larger than
-  /// ceil(numFaults / jobs), so every worker gets work on a small job.
-  /// Deterministic — workers only race for batch *claims*, never for
-  /// boundaries. Delegates to sched::contiguousBatches (kept as a static here
-  /// for the scheduler unit tests and older callers).
-  static std::vector<std::pair<std::uint32_t, std::uint32_t>> makeBatches(
-      std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults);
-
  private:
-  /// Fetches the materialized checkpoint for `seq` from the store
-  /// (recording on a cache miss). Returns the recording seconds this call
-  /// newly spent (0 on a cache hit) for the totalCpuSeconds accounting.
-  double ensureCheckpoint(const TestSequence& seq);
-  /// Streaming twin of ensureCheckpoint: keyed on the source fingerprint,
-  /// recording through the store's streaming path on a miss.
-  double ensureCheckpointStream(PatternSource& source);
+  /// Fetches the checkpoint for `source` from the store (recording on a
+  /// cache miss). Returns the recording seconds this call newly spent (0 on
+  /// a cache hit) for the totalCpuSeconds accounting.
+  double ensureCheckpoint(PatternSource& source);
   /// Builds this run's batch plan from the configured policy: the History
   /// policy consults the shared store first, then the sidecar file, and
   /// falls back to the contiguous layout when neither has a record for this
@@ -212,16 +201,17 @@ class ShardedRunner : public FaultSimulator {
 /// `order` (optional) is the schedule's fault permutation: shard-local
 /// detection slot i of batch b lands at global fault index
 /// order[slices[b].first + i]; null means the identity (the classic
-/// contiguous merge). When `good` is non-null its per-pattern good-machine
-/// evaluation counts are added once (the merged work counter then equals an
-/// unsharded run's) and its final good states are used verbatim. The merged
-/// maxAlive is the modeled single-engine peak (per-batch peaks coincide at
-/// sequence start, so it equals a jobs=1 run's exactly — see
-/// FaultSimResult::maxAlive); totalCpuSeconds and per-pattern seconds sum
-/// across batches, while the caller stamps totalSeconds with the real wall
-/// clock. Rowless shards (streamed runs) merge into a rowless result; rows
-/// are summed only when the shards carry them. Exposed for the merge-logic
-/// unit tests.
+/// contiguous merge). When `good` is non-null its good-machine evaluation
+/// counts are added once — the total always, the per-pattern counts
+/// (GoodMachineCheckpoint::goodEvalsPerPattern) only when rows are merged —
+/// so the merged work counters equal an unsharded run's, and its final good
+/// states are used verbatim. The merged maxAlive is the modeled
+/// single-engine peak (per-batch peaks coincide at sequence start, so it
+/// equals a jobs=1 run's exactly — see FaultSimResult::maxAlive);
+/// totalCpuSeconds and per-pattern seconds sum across batches, while the
+/// caller stamps totalSeconds with the real wall clock. Rowless shards
+/// (streamed runs) merge into a rowless result; rows are summed only when
+/// the shards carry them. Exposed for the merge-logic unit tests.
 FaultSimResult mergeShardResults(
     const std::vector<FaultSimResult>& shardResults,
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& slices,

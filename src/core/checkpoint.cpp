@@ -206,57 +206,23 @@ GoodMachineCheckpoint& GoodMachineCheckpoint::operator=(
 GoodMachineCheckpoint::~GoodMachineCheckpoint() = default;
 
 std::uint64_t GoodMachineCheckpoint::fingerprint(const TestSequence& seq) {
-  std::uint64_t h = kFnvOffsetBasis;
-  fnvMix(h, seq.size());
-  for (const Pattern& p : seq.patterns()) {
-    fnvMix(h, p.settings.size());
-    for (const InputSetting& s : p.settings) {
-      fnvMix(h, s.assignments.size());
-      for (const auto& [n, v] : s.assignments) {
-        fnvMix(h, (std::uint64_t(n.value) << 8) | std::uint64_t(v));
-      }
-    }
-  }
-  fnvMix(h, seq.outputs().size());
-  for (const NodeId out : seq.outputs()) fnvMix(h, out.value);
-  return h;
+  return MaterializedPatternSource(seq).fingerprint();
 }
 
-GoodMachineCheckpoint GoodMachineCheckpoint::record(const Network& net,
-                                                    const TestSequence& seq,
-                                                    const FsimOptions& options,
-                                                    std::size_t budgetBytes,
-                                                    const std::string& spillDir) {
-  MaterializedPatternSource source(seq);
-  return recordImpl(net, source, options, budgetBytes, spillDir,
-                    /*keepPerPatternEvals=*/true);
-}
-
-GoodMachineCheckpoint GoodMachineCheckpoint::record(const Network& net,
-                                                    PatternSource& source,
-                                                    const FsimOptions& options,
-                                                    std::size_t budgetBytes,
-                                                    const std::string& spillDir) {
-  return recordImpl(net, source, options, budgetBytes, spillDir,
-                    /*keepPerPatternEvals=*/false);
-}
-
-GoodMachineCheckpoint GoodMachineCheckpoint::recordImpl(
+GoodMachineCheckpoint GoodMachineCheckpoint::record(
     const Network& net, PatternSource& source, const FsimOptions& options,
-    std::size_t budgetBytes, const std::string& spillDir,
-    bool keepPerPatternEvals) {
+    std::size_t budgetBytes, const std::string& spillDir) {
   GoodMachineCheckpoint ck;
   ck.budgetBytes_ = budgetBytes;
-  ck.streamed_ = !keepPerPatternEvals;
   if (budgetBytes > 0) {
     ck.spill_ = std::make_unique<SpillState>();
     ck.spill_->open(spillDir);
   }
   FMOSSIM_ASSERT(net.numNodes() < (std::uint32_t{1} << 30),
                  "checkpoint changes pack a node id into 30 bits");
-  // One fingerprint pass first (the source rewinds around it) — the
-  // identical fold to fingerprint(seq), so a streamed recording of a
-  // generator-backed sequence keys the same as its materialized twin.
+  // Fingerprinted before recording (a streaming source takes one pass and
+  // rewinds), so a generator-backed source keys the same as its
+  // materialized twin.
   ck.seqFingerprint_ = source.fingerprint();
   ck.outputs_ = source.outputs();
   CheckpointRecorder rec(ck);
@@ -268,15 +234,7 @@ GoodMachineCheckpoint GoodMachineCheckpoint::recordImpl(
   for (std::uint32_t n = 0; n < net.numNodes(); ++n) {
     ck.initialGoodStates_.push_back(sim.goodState(NodeId(n)));
   }
-  std::function<void(const PatternStat&)> onPattern;
-  if (keepPerPatternEvals) {
-    ck.perPatternGoodEvals_.reserve(
-        static_cast<std::size_t>(source.numPatterns()));
-    onPattern = [&ck](const PatternStat& st) {
-      ck.perPatternGoodEvals_.push_back(st.nodeEvals);
-    };
-  }
-  const FaultSimResult res = sim.run(source, nullptr, onPattern);
+  const FaultSimResult res = sim.run(source);
   rec.finish();
   ck.finalGoodStates_ = res.finalGoodStates;
   ck.totalGoodEvals_ = res.totalNodeEvals;
@@ -290,7 +248,6 @@ GoodMachineCheckpoint GoodMachineCheckpoint::recordImpl(
   // it so memoryBytes() reports (and the budget governs) real content
   // (finish() trimmed the trace).
   ck.initialGoodStates_.shrink_to_fit();
-  ck.perPatternGoodEvals_.shrink_to_fit();
   ck.outputs_.shrink_to_fit();
   if (ck.spill_ != nullptr) {
     ck.spill_->blockOff.shrink_to_fit();
@@ -329,6 +286,26 @@ std::uint32_t GoodMachineCheckpoint::settleEndingPattern(
   return 0;
 }
 
+std::vector<std::uint64_t> GoodMachineCheckpoint::goodEvalsPerPattern() const {
+  // Each good vicinity the engine evaluated added its member count to the
+  // pattern's nodeEvals, and the recorder kept exactly those members.
+  std::vector<std::uint64_t> evals;
+  evals.reserve(static_cast<std::size_t>(numPatterns_));
+  std::uint64_t pending = 0;
+  CheckpointReader reader(*this);
+  for (std::uint32_t s = 1; s < settleCount_; ++s) {
+    reader.enterSettle(s);
+    for (std::uint32_t ph = 0; ph < reader.phaseCount(); ++ph) {
+      pending += reader.members(ph).size();
+    }
+    if (patternEndsAtSettle(s)) {
+      evals.push_back(pending);
+      pending = 0;
+    }
+  }
+  return evals;
+}
+
 std::vector<State> GoodMachineCheckpoint::goodStateAfterPattern(
     std::uint64_t p) const {
   const std::uint32_t settleEnd = settleEndingPattern(p) + 1;
@@ -350,8 +327,7 @@ std::vector<State> GoodMachineCheckpoint::goodStateAfterPattern(
 
 std::size_t GoodMachineCheckpoint::fixedBytes() const {
   std::size_t n = vecBytes(initialGoodStates_) + vecBytes(finalGoodStates_) +
-                  vecBytes(perPatternGoodEvals_) + vecBytes(patternEndBits_) +
-                  vecBytes(outputs_);
+                  vecBytes(patternEndBits_) + vecBytes(outputs_);
   if (spill_ != nullptr) {
     n += vecBytes(spill_->blockOff) + vecBytes(spill_->firstSettle);
   }

@@ -21,10 +21,11 @@
 //     replay-mode run of ConcurrentFaultSimulator, and runReplay without a
 //     materialized TestSequence at all);
 //   * per pattern: which settle ends it (one bit per settle) and the
-//     observed outputs, so replay knows when to observe; for materialized
-//     recordings additionally the good machine's logical node-evaluation
-//     count per pattern (so a merged sharded result can report exactly the
-//     same deterministic work counter as a jobs=1 run).
+//     observed outputs, so replay knows when to observe. The good machine's
+//     logical node evaluations per pattern are not stored: every recorded
+//     vicinity member is one evaluation, so goodEvalsPerPattern() derives
+//     them from the trace (what a merged sharded result adds back to report
+//     exactly the same deterministic work counter as a jobs=1 run).
 //
 // Layout (SettleBlock): a phase spans the member arena directly, and one
 // bit per member marks the last member of each vicinity — a good vicinity
@@ -43,7 +44,7 @@
 // replay through the same SettleBlock layout:
 //
 //   * **In-memory (budget 0).** The whole trace is one resident chunk —
-//     about 4 MB for RAM256's 1447 patterns.
+//     about 3.6 MB for RAM256's 1447 patterns.
 //   * **Spilled (budget > 0).** The trace grows linearly with good-machine
 //     activity, so million-pattern sequences cannot hold it in RAM. Settles
 //     are batched into fixed-target *chunks* (a few KiB to 64 KiB of trace
@@ -138,39 +139,27 @@ class GoodMachineCheckpoint {
   GoodMachineCheckpoint& operator=(GoodMachineCheckpoint&&) noexcept;
   ~GoodMachineCheckpoint();
 
-  /// Records the good machine of `net` over `seq`: runs a fault-free
+  /// Records the good machine of `net` over `source`: runs a fault-free
   /// concurrent simulation with `options` (detection knobs are irrelevant;
-  /// options.sim controls settle limits) and captures the trace.
-  /// Deterministic: identical inputs produce identical checkpoints (and
-  /// bit-identical replays regardless of `budgetBytes`).
+  /// options.sim controls settle limits) and captures the trace, consuming
+  /// the source once and never materializing it (a TestSequence records
+  /// through MaterializedPatternSource). Deterministic: identical inputs
+  /// produce identical checkpoints (and bit-identical replays regardless of
+  /// `budgetBytes`).
   ///
   /// `budgetBytes` > 0 spills the chunked trace to an unlinked temp file in
   /// `spillDir` (empty = the system temp directory) as it records, keeping
-  /// memoryBytes() within the budget; 0 keeps the whole trace in RAM. See
-  /// the file comment for the budget's fixed floor.
-  static GoodMachineCheckpoint record(const Network& net,
-                                      const TestSequence& seq,
-                                      const FsimOptions& options,
-                                      std::size_t budgetBytes = 0,
-                                      const std::string& spillDir = {});
-
-  /// Streaming overload: records the good machine over a PatternSource,
-  /// consuming it exactly once (after one fingerprint pass) and never
-  /// materializing the sequence — resident memory is flat in the sequence
-  /// length when a spill budget is given. The resulting checkpoint is
-  /// `streamed()`: it omits the per-pattern good-eval array (a per-pattern
-  /// resident cost), so it serves rowless trace-driven replays
-  /// (ConcurrentFaultSimulator::runReplay with a streamed merge) but not the
-  /// materialized sharded merge, which needs that array.
+  /// memoryBytes() within the budget — resident memory is then flat in the
+  /// sequence length; 0 keeps the whole trace in RAM. See the file comment
+  /// for the budget's fixed floor.
   static GoodMachineCheckpoint record(const Network& net, PatternSource& source,
                                       const FsimOptions& options,
                                       std::size_t budgetBytes = 0,
                                       const std::string& spillDir = {});
 
-  /// Content fingerprint of a test sequence (FNV-1a over patterns, settings
-  /// and outputs; PatternSource::fingerprint computes the identical fold
-  /// without materializing). Replay asserts the sequence it runs matches the
-  /// one recorded; CheckpointStore keys its cache on this.
+  /// Content fingerprint of a test sequence: PatternSource::fingerprint of
+  /// its MaterializedPatternSource. Replay asserts the sequence it runs
+  /// matches the one recorded; CheckpointStore keys its cache on this.
   static std::uint64_t fingerprint(const TestSequence& seq);
 
   /// Number of recorded settles (1 + total input settings of the sequence).
@@ -184,8 +173,8 @@ class GoodMachineCheckpoint {
   std::uint32_t numNodes() const {
     return static_cast<std::uint32_t>(finalGoodStates_.size());
   }
-  /// Number of patterns of the recorded sequence (64-bit: streamed
-  /// recordings are not bounded by a materialized sequence's 2^32 size).
+  /// Number of patterns of the recorded sequence (64-bit: a streamed
+  /// source is not bounded by a materialized sequence's 2^32 size).
   std::uint64_t numPatterns() const { return numPatterns_; }
   /// The observed output nodes of the recorded sequence — what a
   /// trace-driven replay observes at each pattern end.
@@ -199,21 +188,20 @@ class GoodMachineCheckpoint {
   /// replay reports as finalGoodStates).
   const std::vector<State>& finalGoodStates() const { return finalGoodStates_; }
   /// Good-machine logical node evaluations per pattern — the work a replay
-  /// avoids; merged into sharded results so their deterministic work counter
-  /// equals a jobs=1 run's exactly. Empty for streamed() recordings (it is
-  /// a per-pattern resident cost; use totalGoodEvals() instead).
-  const std::vector<std::uint64_t>& perPatternGoodEvals() const {
-    return perPatternGoodEvals_;
-  }
+  /// avoids; merged into sharded rows so their deterministic work counter
+  /// equals a jobs=1 run's exactly. Derived, not stored: pattern p's count
+  /// is the number of vicinity members recorded in the settles after
+  /// pattern p-1's last settle up to its own (the initial settle belongs to
+  /// no pattern). One pass over the trace; works in both storage modes.
+  std::vector<std::uint64_t> goodEvalsPerPattern() const;
   /// Total good-machine node evaluations over the sequence (excluding the
-  /// initial settle, matching FaultSimResult::totalNodeEvals semantics).
+  /// initial settle, matching FaultSimResult::totalNodeEvals semantics) —
+  /// the sum of goodEvalsPerPattern(), kept so a rowless merge needs no
+  /// pass over the trace.
   std::uint64_t totalGoodEvals() const { return totalGoodEvals_; }
   /// Wall-clock seconds the recording run took (merged into the recording
   /// run's aggregate CPU time; diagnostics).
   double recordSeconds() const { return recordSeconds_; }
-  /// True when this checkpoint was recorded from a PatternSource without
-  /// per-pattern resident arrays (see the streaming record() overload).
-  bool streamed() const { return streamed_; }
 
   /// Materializes the good state of every node after pattern `p` by folding
   /// the change trace up to that pattern's last settle (the copy-on-write
@@ -244,7 +232,7 @@ class GoodMachineCheckpoint {
   std::size_t windowBudgetBytes() const;
 
   /// Resident heap footprint in bytes: the whole trace in in-memory mode;
-  /// the fixed per-chunk/per-pattern index plus the current window of
+  /// the fixed per-chunk/per-settle index plus the current window of
   /// decoded chunks in spilled mode. The budget enforcement hook — stays
   /// <= budgetBytes() whenever the budget exceeds the fixed floor plus one
   /// chunk per concurrently replaying engine.
@@ -255,13 +243,6 @@ class GoodMachineCheckpoint {
   friend class CheckpointReader;
 
   struct SpillState;
-
-  static GoodMachineCheckpoint recordImpl(const Network& net,
-                                          PatternSource& source,
-                                          const FsimOptions& options,
-                                          std::size_t budgetBytes,
-                                          const std::string& spillDir,
-                                          bool keepPerPatternEvals);
 
   std::size_t fixedBytes() const;
   /// Loads chunk `c` through the window cache (spilled mode).
@@ -275,7 +256,6 @@ class GoodMachineCheckpoint {
 
   std::vector<State> initialGoodStates_;  ///< after the initial all-X settle
   std::vector<State> finalGoodStates_;
-  std::vector<std::uint64_t> perPatternGoodEvals_;  ///< empty when streamed_
   /// Bit i set iff settle i ends a pattern (one bit per settle — the only
   /// per-settle resident cost in spilled mode besides the chunk index).
   std::vector<std::uint64_t> patternEndBits_;
@@ -284,7 +264,6 @@ class GoodMachineCheckpoint {
   std::uint64_t totalGoodEvals_ = 0;
   std::uint64_t seqFingerprint_ = 0;
   double recordSeconds_ = 0.0;
-  bool streamed_ = false;
 
   std::size_t budgetBytes_ = 0;
   std::unique_ptr<SpillState> spill_;  ///< non-null in spilled mode

@@ -46,9 +46,11 @@ CheckpointStore::CheckpointStore() : CheckpointStore(Options{}) {}
 CheckpointStore::CheckpointStore(Options options)
     : options_(std::move(options)) {}
 
-template <typename RecordFn>
-std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquireImpl(
-    const Key& key, bool* recordedNow, RecordFn&& recordFn) {
+std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquire(
+    const Network& net, PatternSource& source, const FsimOptions& options,
+    bool* recordedNow) {
+  const Key key{networkFingerprint(net), source.fingerprint(),
+                simOptionsFingerprint(options)};
   if (recordedNow != nullptr) *recordedNow = false;
   std::lock_guard<std::mutex> lock(mu_);
   if (auto it = cache_.find(key); it != cache_.end()) {
@@ -57,8 +59,9 @@ std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquireImpl(
     return it->second.checkpoint;
   }
   if (recordedNow != nullptr) *recordedNow = true;
-  auto checkpoint =
-      std::make_shared<const GoodMachineCheckpoint>(recordFn());
+  auto checkpoint = std::make_shared<const GoodMachineCheckpoint>(
+      GoodMachineCheckpoint::record(net, source, options, options_.budgetBytes,
+                                    options_.spillDir));
   ++recordings_;
   lru_.push_front(key);
   cache_.emplace(key, Entry{checkpoint, lru_.begin()});
@@ -72,34 +75,8 @@ std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquireImpl(
 std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquire(
     const Network& net, const TestSequence& seq, const FsimOptions& options,
     bool* recordedNow) {
-  return acquire(net, seq, GoodMachineCheckpoint::fingerprint(seq), options,
-                 recordedNow);
-}
-
-std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquire(
-    const Network& net, const TestSequence& seq, std::uint64_t seqFingerprint,
-    const FsimOptions& options, bool* recordedNow) {
-  const Key key{networkFingerprint(net), seqFingerprint,
-                simOptionsFingerprint(options), false};
-  return acquireImpl(key, recordedNow, [&] {
-    GoodMachineCheckpoint ck = GoodMachineCheckpoint::record(
-        net, seq, options, options_.budgetBytes, options_.spillDir);
-    FMOSSIM_ASSERT(ck.seqFingerprint() == seqFingerprint,
-                   "acquire: fingerprint does not match the test sequence");
-    return ck;
-  });
-}
-
-std::shared_ptr<const GoodMachineCheckpoint> CheckpointStore::acquireStream(
-    const Network& net, PatternSource& source, const FsimOptions& options,
-    bool* recordedNow) {
-  const Key key{networkFingerprint(net), source.fingerprint(),
-                simOptionsFingerprint(options), true};
-  return acquireImpl(key, recordedNow, [&] {
-    return GoodMachineCheckpoint::record(net, source, options,
-                                         options_.budgetBytes,
-                                         options_.spillDir);
-  });
+  MaterializedPatternSource source(seq);
+  return acquire(net, source, options, recordedNow);
 }
 
 void CheckpointStore::clear() {

@@ -9,7 +9,8 @@
 /// one recording instead of re-deriving it. Entries are keyed on
 /// (structural network fingerprint, sequence fingerprint, simulation
 /// options), so the cache is correct across Engine instances that each own
-/// their *copy* of the same network.
+/// their *copy* of the same network, and a sequence streamed from a
+/// PatternSource shares one entry with its materialized TestSequence.
 ///
 /// The store also owns the memory-budget policy: a non-zero
 /// Options::budgetBytes makes every checkpoint it records spill its
@@ -68,34 +69,24 @@ class CheckpointStore {
   /// The policy this store was built with.
   const Options& options() const { return options_; }
 
-  /// Returns the cached checkpoint for (net, seq, options.sim), recording
-  /// it first on a miss. The returned checkpoint is immutable and safe to
-  /// replay from concurrently; it stays valid for the caller even if the
-  /// store evicts or clears the entry later. Only the simulation options
-  /// that shape the good-machine trace (FsimOptions::sim) key the cache —
-  /// detection policy and drop mode do not affect the good machine.
-  /// `recordedNow` (optional) is set to whether THIS call performed the
-  /// recording — callers attributing recording cost must use it rather than
-  /// diffing recordings(), which other threads can bump concurrently.
+  /// Returns the cached checkpoint for (net, source, options.sim),
+  /// recording it first on a miss (consuming the source once, never
+  /// materializing it). The key is the source's fingerprint, so a streamed
+  /// and a materialized copy of one sequence share an entry. The returned
+  /// checkpoint is immutable and safe to replay from concurrently; it stays
+  /// valid for the caller even if the store evicts or clears the entry
+  /// later. Only the simulation options that shape the good-machine trace
+  /// (FsimOptions::sim) key the cache — detection policy and drop mode do
+  /// not affect the good machine. `recordedNow` (optional) is set to
+  /// whether THIS call performed the recording — callers attributing
+  /// recording cost must use it rather than diffing recordings(), which
+  /// other threads can bump concurrently.
+  std::shared_ptr<const GoodMachineCheckpoint> acquire(
+      const Network& net, PatternSource& source, const FsimOptions& options,
+      bool* recordedNow = nullptr);
+  /// acquire() over `seq`'s MaterializedPatternSource.
   std::shared_ptr<const GoodMachineCheckpoint> acquire(
       const Network& net, const TestSequence& seq, const FsimOptions& options,
-      bool* recordedNow = nullptr);
-  /// acquire() for a caller that already holds `seqFingerprint` ==
-  /// GoodMachineCheckpoint::fingerprint(seq), so the lookup does not
-  /// rehash the sequence (a recording on a miss is asserted to match it).
-  std::shared_ptr<const GoodMachineCheckpoint> acquire(
-      const Network& net, const TestSequence& seq, std::uint64_t seqFingerprint,
-      const FsimOptions& options, bool* recordedNow = nullptr);
-
-  /// Streaming variant: keyed on the source's fingerprint (the same fold as
-  /// a materialized sequence's), recording through the streaming
-  /// GoodMachineCheckpoint::record overload on a miss — the source is
-  /// consumed, never materialized. Streamed checkpoints omit the
-  /// per-pattern good-eval array, so they live under a distinct key and are
-  /// never handed to the materialized acquire() above (whose callers rely
-  /// on that array), even for bit-identical sequences.
-  std::shared_ptr<const GoodMachineCheckpoint> acquireStream(
-      const Network& net, PatternSource& source, const FsimOptions& options,
       bool* recordedNow = nullptr);
 
   /// Drops every cached entry (outstanding shared_ptrs stay valid).
@@ -120,19 +111,13 @@ class CheckpointStore {
   std::size_t memoryBytes() const;
 
  private:
-  /// (network, sequence, sim options, streamed) — the last component keeps
-  /// streamed (no per-pattern evals) and materialized recordings of one
-  /// sequence apart.
-  using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, bool>;
+  /// (network, sequence, sim options) fingerprints.
+  using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
 
   struct Entry {
     std::shared_ptr<const GoodMachineCheckpoint> checkpoint;
     std::list<Key>::iterator lruIt;
   };
-
-  template <typename RecordFn>
-  std::shared_ptr<const GoodMachineCheckpoint> acquireImpl(
-      const Key& key, bool* recordedNow, RecordFn&& recordFn);
 
   Options options_;
   mutable std::mutex mu_;

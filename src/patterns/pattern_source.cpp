@@ -8,35 +8,47 @@
 
 namespace fmossim {
 
-std::uint64_t PatternSource::fingerprint() {
-  if (fingerprint_.has_value()) return *fingerprint_;
-  // Identical fold to GoodMachineCheckpoint::fingerprint() over the
-  // materialized equivalent: count first, then per-pattern structure, then
-  // outputs. One full streaming pass, bracketed by rewinds.
-  rewind();
-  std::uint64_t h = kFnvOffsetBasis;
-  fnvMix(h, numPatterns());
-  Pattern p;
-  while (next(p)) {
-    fnvMix(h, p.settings.size());
-    for (const InputSetting& s : p.settings) {
-      fnvMix(h, s.assignments.size());
-      for (const auto& [n, v] : s.assignments) {
-        fnvMix(h, (std::uint64_t(n.value) << 8) | std::uint64_t(v));
-      }
+namespace {
+
+/// The one per-pattern fold of the sequence fingerprint.
+void foldPattern(std::uint64_t& h, const Pattern& p) {
+  fnvMix(h, p.settings.size());
+  for (const InputSetting& s : p.settings) {
+    fnvMix(h, s.assignments.size());
+    for (const auto& [n, v] : s.assignments) {
+      fnvMix(h, (std::uint64_t(n.value) << 8) | std::uint64_t(v));
     }
   }
+}
+
+}  // namespace
+
+std::uint64_t PatternSource::fingerprint() {
+  if (fingerprint_.has_value()) return *fingerprint_;
+  std::uint64_t h = kFnvOffsetBasis;
+  fnvMix(h, numPatterns());
+  foldPatterns(h);
   fnvMix(h, outputs().size());
   for (const NodeId out : outputs()) fnvMix(h, out.value);
-  rewind();
   fingerprint_ = h;
   return h;
+}
+
+void PatternSource::foldPatterns(std::uint64_t& h) {
+  rewind();
+  Pattern p;
+  while (next(p)) foldPattern(h, p);
+  rewind();
 }
 
 bool MaterializedPatternSource::next(Pattern& out) {
   if (next_ >= seq_->size()) return false;
   out = (*seq_)[next_++];
   return true;
+}
+
+void MaterializedPatternSource::foldPatterns(std::uint64_t& h) {
+  for (const Pattern& p : seq_->patterns()) foldPattern(h, p);
 }
 
 namespace {

@@ -61,12 +61,17 @@ class PatternSource {
   /// Restarts the stream from the first pattern.
   virtual void rewind() = 0;
 
-  /// Sequence fingerprint, folded exactly like
-  /// GoodMachineCheckpoint::fingerprint() over the materialized equivalent
-  /// (count, then per-pattern structure, then outputs). Streams the whole
-  /// source once on first call (rewinding before and after) and caches the
-  /// result, so calling it mid-consumption is an error.
+  /// Sequence fingerprint (FNV-1a over the count, then per-pattern
+  /// structure, then outputs) — the one fold every sequence key uses;
+  /// GoodMachineCheckpoint::fingerprint() of a TestSequence is this over
+  /// its MaterializedPatternSource. Computed on first call and cached, so
+  /// calling it mid-consumption is an error.
   std::uint64_t fingerprint();
+
+ protected:
+  /// Folds every pattern's structure into `h`, in stream order. The default
+  /// streams the source once, rewinding before and after.
+  virtual void foldPatterns(std::uint64_t& h);
 
  private:
   std::optional<std::uint64_t> fingerprint_;
@@ -83,6 +88,10 @@ class MaterializedPatternSource final : public PatternSource {
   std::uint64_t numPatterns() const override { return seq_->size(); }
   bool next(Pattern& out) override;
   void rewind() override { next_ = 0; }
+
+ protected:
+  /// Folds the sequence in place, without copying a pattern out.
+  void foldPatterns(std::uint64_t& h) override;
 
  private:
   const TestSequence* seq_;

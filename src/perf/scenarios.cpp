@@ -202,10 +202,10 @@ Workload buildScenarioWorkload(const std::string& name) {
   // a million-pattern sequence makes the good-machine trace dwarf the
   // circuit by orders of magnitude, so the sequence is never materialized —
   // every row pulls patterns from a GeneratedPatternSource — and the
-  // sharded row records/replays a disk-spilled streamed checkpoint under a
+  // sharded row records/replays a disk-spilled checkpoint under a
   // deliberately small budget on every bench run (CI included). The jobs=1
   // row streams with no checkpoint at all, so equal row checksums prove the
-  // spill + streamed-replay path bit-exact on every measurement.
+  // spill + trace-driven replay path bit-exact on every measurement.
   if (name == "fuzz_xlarge_seq") {
     GenOptions gen = fuzzGen(17, 10, 4, 16, 1000000);
     gen.maxSettingsPerPattern = 1;  // bound the settle index, not the trace

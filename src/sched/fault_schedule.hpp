@@ -74,13 +74,12 @@ struct BatchPlan {
   }
 };
 
-/// The contiguous batch boundaries (the layout ShardedRunner::makeBatches
-/// has always produced): ascending, covering [0, numFaults), batchFaults > 0
-/// fixed-size, 0 the auto schedule: max(ceil(n / (4 jobs)),
-/// min(32, ceil(n / jobs))) faults per batch, i.e. ~4 batches per worker of
-/// at least 32 faults, but never more than one worker's share. Any
-/// batchFaults up to UINT32_MAX is valid; one larger than numFaults yields a
-/// single batch.
+/// The contiguous batch boundaries (ShardedRunner's default layout):
+/// ascending, covering [0, numFaults), batchFaults > 0 fixed-size, 0 the
+/// auto schedule: max(ceil(n / (4 jobs)), min(32, ceil(n / jobs))) faults
+/// per batch, i.e. ~4 batches per worker of at least 32 faults, but never
+/// more than one worker's share. Any batchFaults up to UINT32_MAX is valid;
+/// one larger than numFaults yields a single batch.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> contiguousBatches(
     std::uint32_t numFaults, unsigned jobs, std::uint32_t batchFaults);
 
@@ -93,7 +92,7 @@ class FaultSchedule {
   /// Policy name for diagnostics (matches schedulePolicyName).
   virtual const char* name() const = 0;
   /// Builds the batch layout. `jobs` is the effective worker count the run
-  /// will use (after the hardware cap), matching the old makeBatches call.
+  /// will use (after the hardware cap).
   virtual BatchPlan plan(std::uint32_t numFaults, unsigned jobs,
                          std::uint32_t batchFaults) const = 0;
   /// The same plan; the trailing argument is ignored. Kept only for the

@@ -281,7 +281,7 @@ TEST(SchedulerMatrixTest, MakeBatchesCoversUniverse) {
   for (const std::uint32_t n : {0u, 1u, 31u, 32u, 100u, 1398u}) {
     for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
       for (const std::uint32_t batch : {0u, 1u, 16u, 500u}) {
-        const auto batches = ShardedRunner::makeBatches(n, jobs, batch);
+        const auto batches = sched::contiguousBatches(n, jobs, batch);
         std::uint32_t expect = 0;
         for (const auto& [begin, end] : batches) {
           ASSERT_EQ(begin, expect);
@@ -314,10 +314,10 @@ TEST(SchedulerMatrixTest, MakeBatchesCoversUniverse) {
 // faults keep 3 batches of 32.
 TEST(SchedulerMatrixTest, AutoPlanSplitsSmallJobsAcrossWorkers) {
   using Slices = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-  EXPECT_EQ(ShardedRunner::makeBatches(32, 2, 0), (Slices{{0, 16}, {16, 32}}));
-  EXPECT_EQ(ShardedRunner::makeBatches(96, 2, 0),
+  EXPECT_EQ(sched::contiguousBatches(32, 2, 0), (Slices{{0, 16}, {16, 32}}));
+  EXPECT_EQ(sched::contiguousBatches(96, 2, 0),
             (Slices{{0, 32}, {32, 64}, {64, 96}}));
-  const Slices ram256 = ShardedRunner::makeBatches(1398, 2, 0);
+  const Slices ram256 = sched::contiguousBatches(1398, 2, 0);
   ASSERT_EQ(ram256.size(), 8u);
   for (std::size_t b = 0; b < ram256.size(); ++b) {
     EXPECT_EQ(ram256[b].first, 175 * b);
@@ -336,7 +336,7 @@ TEST(SchedulerMatrixTest, SmallJobSplitMergesBitIdentical) {
   gen.numPatterns = 16;
   const GeneratedWorkload g = generateWorkload(gen);
   ASSERT_EQ(g.faults.size(), 32u);
-  ASSERT_EQ(ShardedRunner::makeBatches(32, 2, 0).size(), 2u);
+  ASSERT_EQ(sched::contiguousBatches(32, 2, 0).size(), 2u);
   for (const bool drop : {true, false}) {
     EngineOptions opts;
     opts.policy = DetectionPolicy::AnyDifference;
@@ -364,19 +364,19 @@ TEST(SchedulerMatrixTest, SmallJobSplitMergesBitIdentical) {
 TEST(SchedulerMatrixTest, MakeBatchesEdgeCases) {
   // batchFaults far beyond the fault list: one batch, the whole universe.
   {
-    const auto batches = ShardedRunner::makeBatches(7, 4, 1000);
+    const auto batches = sched::contiguousBatches(7, 4, 1000);
     ASSERT_EQ(batches.size(), 1u);
     EXPECT_EQ(batches[0].first, 0u);
     EXPECT_EQ(batches[0].second, 7u);
   }
   // Empty universe: no batches at all (not one empty batch).
   for (const std::uint32_t batch : {0u, 1u, 64u}) {
-    EXPECT_TRUE(ShardedRunner::makeBatches(0, 4, batch).empty());
+    EXPECT_TRUE(sched::contiguousBatches(0, 4, batch).empty());
   }
   // jobs >> faults: every batch non-empty, coverage exact.
   for (const std::uint32_t n : {1u, 3u, 31u}) {
     for (const unsigned jobs : {8u, 64u, 1000u}) {
-      const auto batches = ShardedRunner::makeBatches(n, jobs, 0);
+      const auto batches = sched::contiguousBatches(n, jobs, 0);
       std::uint32_t covered = 0;
       for (const auto& [begin, end] : batches) {
         ASSERT_LT(begin, end);
@@ -397,7 +397,6 @@ TEST(SchedulerMatrixTest, MaxBatchFaultsYieldsOneBatch) {
   const std::uint32_t maxBatch = std::numeric_limits<std::uint32_t>::max();
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> whole = {{0, n}};
   EXPECT_EQ(sched::contiguousBatches(n, 2, maxBatch), whole);
-  EXPECT_EQ(ShardedRunner::makeBatches(n, 2, maxBatch), whole);
 
   auto history = std::make_shared<sched::DetectionHistory>();
   history->faultsFingerprint = 1;

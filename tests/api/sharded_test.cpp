@@ -135,28 +135,45 @@ TEST(ShardedRunnerTest, MoreJobsThanFaultsIsClamped) {
   EXPECT_EQ(res.numDetected, 2u);
 }
 
+// One checkpoint serves runStream() and run() of one sequence, in either
+// order: a single recording, and the materialized merge still adds the good
+// machine's evaluations back row for row, as a jobs=1 run counts them.
 TEST(ShardedRunnerTest, ShardedRunIsRepeatable) {
   const RamCircuit ram = buildRam(RamConfig{2, 2});
   FaultList faults = allStorageNodeStuckFaults(ram.net);
   EngineOptions opts;
   opts.policy = DetectionPolicy::AnyDifference;
-  opts.jobs = 3;
-  Engine engine(ram.net, faults, opts);
   const TestSequence seq = ramArrayMarch(ram);
-  const FaultSimResult first = engine.run(seq);
-  // A streamed run in between leaves a streamed checkpoint of the same
-  // sequence behind; it lacks the per-pattern good evaluations the
-  // materialized merge adds back, so the next run must not reuse it.
-  MaterializedPatternSource source(seq);
-  const FaultSimResult streamed = engine.runStream(source);
-  EXPECT_EQ(streamed.detectedAtPattern, first.detectedAtPattern);
-  const FaultSimResult second = engine.run(seq);
-  EXPECT_EQ(first.detectedAtPattern, second.detectedAtPattern);
-  EXPECT_EQ(first.totalNodeEvals, second.totalNodeEvals);
-  ASSERT_EQ(second.perPattern.size(), first.perPattern.size());
-  for (std::size_t pi = 0; pi < first.perPattern.size(); ++pi) {
-    EXPECT_EQ(second.perPattern[pi].nodeEvals, first.perPattern[pi].nodeEvals)
-        << "pattern " << pi;
+  Engine fresh(ram.net, faults, opts);
+  const FaultSimResult ref = fresh.run(seq);
+  opts.jobs = 3;
+
+  for (const bool streamFirst : {true, false}) {
+    SCOPED_TRACE(streamFirst ? "runStream, then run" : "run, then runStream");
+    auto store = std::make_shared<CheckpointStore>();
+    opts.checkpointStore = store;
+    Engine engine(ram.net, faults, opts);
+    MaterializedPatternSource source(seq);
+    FaultSimResult streamed;
+    FaultSimResult materialized;
+    if (streamFirst) {
+      streamed = engine.runStream(source);
+      materialized = engine.run(seq);
+    } else {
+      materialized = engine.run(seq);
+      streamed = engine.runStream(source);
+    }
+    EXPECT_EQ(store->recordings(), 1u);
+    EXPECT_EQ(streamed.detectedAtPattern, ref.detectedAtPattern);
+    EXPECT_EQ(streamed.totalNodeEvals, ref.totalNodeEvals);
+    EXPECT_EQ(materialized.detectedAtPattern, ref.detectedAtPattern);
+    EXPECT_EQ(materialized.totalNodeEvals, ref.totalNodeEvals);
+    ASSERT_EQ(materialized.perPattern.size(), ref.perPattern.size());
+    for (std::size_t pi = 0; pi < ref.perPattern.size(); ++pi) {
+      EXPECT_EQ(materialized.perPattern[pi].nodeEvals,
+                ref.perPattern[pi].nodeEvals)
+          << "pattern " << pi;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/checkpoint.hpp"
 #include "core/concurrent_sim.hpp"
 #include "perf/scenarios.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace fmossim {
@@ -196,7 +197,7 @@ TEST(CheckpointLayoutTest, HotScanMatchesFullWalk) {
 TEST(CheckpointLayoutTest, Ram64TraceIsUnderHalfTheSpanLayout) {
   const perf::Workload w = perf::buildScenarioWorkload("ram64_seq1");
   const GoodMachineCheckpoint ck =
-      GoodMachineCheckpoint::record(w.net, w.seq, FsimOptions{});
+      testing::recordSequence(w.net, w.seq, FsimOptions{});
   EXPECT_LT(ck.memoryBytes(), 1390232u / 2);
   // Every phase's vicinities tile its members exactly.
   CheckpointReader rd(ck);

@@ -15,19 +15,25 @@
 #include "core/checkpoint_store.hpp"
 #include "core/concurrent_sim.hpp"
 #include "gen/random_circuit.hpp"
+#include "patterns/pattern_source.hpp"
 #include "perf/bench_runner.hpp"
+#include "test_util.hpp"
 
 namespace fmossim {
 namespace {
 
-GeneratedWorkload makeWorkload(std::uint64_t seed, std::uint32_t patterns) {
+GenOptions genOptions(std::uint64_t seed, std::uint32_t patterns) {
   GenOptions gen;
   gen.seed = seed;
   gen.numNodes = 24;
   gen.numInputs = 6;
   gen.numFaults = 36;
   gen.numPatterns = patterns;
-  return generateWorkload(gen);
+  return gen;
+}
+
+GeneratedWorkload makeWorkload(std::uint64_t seed, std::uint32_t patterns) {
+  return generateWorkload(genOptions(seed, patterns));
 }
 
 void expectBitIdentical(const FaultSimResult& ref, const FaultSimResult& got,
@@ -74,6 +80,22 @@ TEST(CheckpointStoreTest, AcquireRecordsOncePerNetworkAndSequence) {
   EXPECT_EQ(first->numPatterns(), w.seq.size());
   store.acquire(w.net, w.seq, opts);
   EXPECT_EQ(store.recordings(), 3u);
+}
+
+// A streamed and a materialized copy of one sequence share one entry: the
+// key is the sequence fingerprint, however the patterns arrive.
+TEST(CheckpointStoreTest, StreamedAndMaterializedSequenceShareOneRecording) {
+  const GenOptions gen = genOptions(31, 40);
+  const GeneratedWorkload w = generateWorkload(gen);
+  GeneratedPatternSource source(generateWorkloadStream(gen).seqConfig);
+  CheckpointStore store;
+  FsimOptions opts;
+
+  const auto streamed = store.acquire(w.net, source, opts);
+  EXPECT_EQ(store.acquire(w.net, w.seq, opts), streamed);
+  EXPECT_EQ(store.recordings(), 1u);
+  EXPECT_EQ(store.hits(), 1u);
+  EXPECT_EQ(streamed->goodEvalsPerPattern().size(), w.seq.size());
 }
 
 // The cache-invalidation satellite: sequences A, B, A through one Engine.
@@ -134,20 +156,20 @@ TEST(CheckpointStoreTest, SpilledReplayIsBitExactWithinBudget) {
   opts.policy = DetectionPolicy::AnyDifference;
 
   const GoodMachineCheckpoint unbounded =
-      GoodMachineCheckpoint::record(w.net, w.seq, opts);
+      testing::recordSequence(w.net, w.seq, opts);
   ASSERT_FALSE(unbounded.spilled());
   const std::size_t budget = unbounded.memoryBytes() / 4;
   ASSERT_GT(budget, 0u);
 
   const GoodMachineCheckpoint spilledCk =
-      GoodMachineCheckpoint::record(w.net, w.seq, opts, budget);
+      testing::recordSequence(w.net, w.seq, opts, budget);
   ASSERT_TRUE(spilledCk.spilled());
   EXPECT_EQ(spilledCk.budgetBytes(), budget);
   EXPECT_LE(spilledCk.memoryBytes(), budget) << "resident after recording";
   EXPECT_EQ(spilledCk.seqFingerprint(), unbounded.seqFingerprint());
   EXPECT_EQ(spilledCk.numSettles(), unbounded.numSettles());
   EXPECT_EQ(spilledCk.finalGoodStates(), unbounded.finalGoodStates());
-  EXPECT_EQ(spilledCk.perPatternGoodEvals(), unbounded.perPatternGoodEvals());
+  EXPECT_EQ(spilledCk.goodEvalsPerPattern(), unbounded.goodEvalsPerPattern());
 
   // Replays from the spilled and the in-memory trace must agree with each
   // other and with a self-simulating engine, field by field.
@@ -192,7 +214,7 @@ TEST(CheckpointStoreTest, BudgetedStoreMatchesUnboundedRun) {
   FsimOptions fopts;
   fopts.policy = DetectionPolicy::AnyDifference;
   const std::size_t traceBytes =
-      GoodMachineCheckpoint::record(w.net, w.seq, fopts).memoryBytes();
+      testing::recordSequence(w.net, w.seq, fopts).memoryBytes();
 
   CheckpointStore::Options sopts;
   sopts.budgetBytes = traceBytes / 3;  // force the spill + window path
@@ -222,7 +244,7 @@ TEST(CheckpointStoreTest, SpillWriteFailureThrowsAndLeavesTheStoreUsable) {
   FsimOptions opts;
   opts.policy = DetectionPolicy::AnyDifference;
   const GoodMachineCheckpoint unbounded =
-      GoodMachineCheckpoint::record(w.net, w.seq, opts);
+      testing::recordSequence(w.net, w.seq, opts);
   CheckpointStore::Options sopts;
   sopts.budgetBytes = unbounded.memoryBytes() / 4;
   CheckpointStore budgeted(sopts);

@@ -6,6 +6,8 @@
 // every field the differential oracle compares.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "circuits/ram.hpp"
 #include "core/checkpoint.hpp"
 #include "core/concurrent_sim.hpp"
@@ -15,6 +17,7 @@
 #include "gen/random_circuit.hpp"
 #include "patterns/marching.hpp"
 #include "patterns/pattern_source.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace fmossim {
@@ -40,14 +43,18 @@ TEST(CheckpointTest, RecordIsDeterministic) {
   const RamWorkload w = smallRamWorkload();
   FsimOptions opts;
   const GoodMachineCheckpoint a =
-      GoodMachineCheckpoint::record(w.ram.net, w.seq, opts);
+      testing::recordSequence(w.ram.net, w.seq, opts);
   const GoodMachineCheckpoint b =
-      GoodMachineCheckpoint::record(w.ram.net, w.seq, opts);
+      testing::recordSequence(w.ram.net, w.seq, opts);
   EXPECT_EQ(a.seqFingerprint(), b.seqFingerprint());
   EXPECT_EQ(a.numSettles(), b.numSettles());
   EXPECT_EQ(a.totalGoodEvals(), b.totalGoodEvals());
   EXPECT_EQ(a.finalGoodStates(), b.finalGoodStates());
-  EXPECT_EQ(a.perPatternGoodEvals(), b.perPatternGoodEvals());
+  const std::vector<std::uint64_t> evals = a.goodEvalsPerPattern();
+  EXPECT_EQ(evals, b.goodEvalsPerPattern());
+  EXPECT_EQ(evals.size(), w.seq.size());
+  EXPECT_EQ(std::accumulate(evals.begin(), evals.end(), std::uint64_t{0}),
+            a.totalGoodEvals());
   EXPECT_EQ(a.memoryBytes() > 0, true);
 }
 
@@ -66,7 +73,7 @@ TEST(CheckpointTest, FingerprintDistinguishesSequences) {
 TEST(CheckpointTest, SettleCountMatchesSequenceStructure) {
   const RamWorkload w = smallRamWorkload();
   const GoodMachineCheckpoint ck =
-      GoodMachineCheckpoint::record(w.ram.net, w.seq, {});
+      testing::recordSequence(w.ram.net, w.seq, {});
   // One settle per input setting plus the initial all-X evaluation.
   EXPECT_EQ(ck.numSettles(), 1u + w.seq.totalSettings());
   EXPECT_EQ(ck.numPatterns(), w.seq.size());
@@ -88,7 +95,7 @@ TEST(CheckpointTest, ReplayMatchesSelfSimulationBitExactly) {
   const FaultSimResult ref = plain.run(w.seq);
 
   const GoodMachineCheckpoint ck =
-      GoodMachineCheckpoint::record(w.ram.net, w.seq, opts);
+      testing::recordSequence(w.ram.net, w.seq, opts);
   ConcurrentFaultSimulator replaying(w.ram.net, w.faults, opts, nullptr, &ck);
   const FaultSimResult got = replaying.run(w.seq);
 
@@ -118,7 +125,7 @@ TEST(CheckpointTest, ReplayMatchesSelfSimulationNoDrop) {
   ConcurrentFaultSimulator plain(w.ram.net, w.faults, opts);
   const FaultSimResult ref = plain.run(w.seq);
   const GoodMachineCheckpoint ck =
-      GoodMachineCheckpoint::record(w.ram.net, w.seq, opts);
+      testing::recordSequence(w.ram.net, w.seq, opts);
   ConcurrentFaultSimulator replaying(w.ram.net, w.faults, opts, nullptr, &ck);
   const FaultSimResult got = replaying.run(w.seq);
 
@@ -155,7 +162,7 @@ TEST(CheckpointTest, EarlyExitTailMatchesFullSimulation) {
   FaultList one;
   one.add(w.faults[bestIdx]);
   const GoodMachineCheckpoint ck =
-      GoodMachineCheckpoint::record(w.ram.net, w.seq, opts);
+      testing::recordSequence(w.ram.net, w.seq, opts);
   ConcurrentFaultSimulator replaying(w.ram.net, one, opts, nullptr, &ck);
   const FaultSimResult got = replaying.run(w.seq);
 
@@ -177,7 +184,7 @@ TEST(CheckpointTest, SnapshotsMatchLiveGoodStates) {
   const RamWorkload w = smallRamWorkload();
   FsimOptions opts;
   const GoodMachineCheckpoint ck =
-      GoodMachineCheckpoint::record(w.ram.net, w.seq, opts);
+      testing::recordSequence(w.ram.net, w.seq, opts);
 
   ConcurrentFaultSimulator sim(w.ram.net, FaultList(), opts);
   for (std::uint32_t pi = 0; pi < w.seq.size(); ++pi) {
@@ -211,7 +218,7 @@ TEST(CheckpointTest, ReplayMatchesOnGeneratedWorkload) {
   const FaultSimResult ref = plain.run(w.seq);
 
   const GoodMachineCheckpoint ck =
-      GoodMachineCheckpoint::record(w.net, w.seq, opts);
+      testing::recordSequence(w.net, w.seq, opts);
   ConcurrentFaultSimulator replaying(w.net, w.faults, opts, nullptr, &ck);
   const FaultSimResult got = replaying.run(w.seq);
 
@@ -245,7 +252,8 @@ void expectStimuliAgreeRowForRow(const Network& net, const FaultList& faults,
   ConcurrentFaultSimulator fromSource(net, faults, opts);
   const FaultSimResult sourced = fromSource.run(source, &sourceSink);
 
-  const GoodMachineCheckpoint ck = GoodMachineCheckpoint::record(net, seq, opts);
+  const GoodMachineCheckpoint ck = testing::recordSequence(net, seq, opts);
+  const std::vector<std::uint64_t> goodEvals = ck.goodEvalsPerPattern();
   ConcurrentFaultSimulator replaySeq(net, faults, opts, nullptr, &ck);
   const FaultSimResult replayed = replaySeq.run(seq);
 
@@ -282,7 +290,7 @@ void expectStimuliAgreeRowForRow(const Network& net, const FaultList& faults,
       if (!s.replay) {
         EXPECT_EQ(got.nodeEvals, want.nodeEvals) << "pattern " << pi;
       } else if (!exited) {
-        EXPECT_EQ(got.nodeEvals + ck.perPatternGoodEvals()[pi], want.nodeEvals)
+        EXPECT_EQ(got.nodeEvals + goodEvals[pi], want.nodeEvals)
             << "pattern " << pi;
       }
       // Rows after the last live circuit dropped are synthesized.

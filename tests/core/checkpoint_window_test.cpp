@@ -8,6 +8,7 @@
 #include "core/checkpoint.hpp"
 #include "core/concurrent_sim.hpp"
 #include "gen/random_circuit.hpp"
+#include "test_util.hpp"
 
 namespace fmossim {
 namespace {
@@ -67,7 +68,7 @@ void expectSameSettle(const GoodMachineCheckpoint& mem, CheckpointReader& rd,
 struct WindowFixture : ::testing::Test {
   void SetUp() override {
     w = windowWorkload();
-    mem = GoodMachineCheckpoint::record(w.net, w.seq, opts);
+    mem = testing::recordSequence(w.net, w.seq, opts);
     ASSERT_FALSE(mem.spilled());
   }
 
@@ -76,7 +77,7 @@ struct WindowFixture : ::testing::Test {
   /// target clamps to its floor there, so chunk layout is budget-invariant).
   GoodMachineCheckpoint spill(std::size_t budget) {
     GoodMachineCheckpoint ck =
-        GoodMachineCheckpoint::record(w.net, w.seq, opts, budget);
+        testing::recordSequence(w.net, w.seq, opts, budget);
     EXPECT_TRUE(ck.spilled());
     EXPECT_GT(ck.spillChunkCount(), 2u)
         << "workload too small to exercise eviction";

@@ -21,6 +21,7 @@
 #include "gen/random_circuit.hpp"
 #include "gen/transient_gen.hpp"
 #include "patterns/marching.hpp"
+#include "test_util.hpp"
 
 namespace fmossim {
 namespace {
@@ -47,9 +48,9 @@ TEST(IndexConsistencyTest, GradingEnginesOverTheFuzzCorpus) {
     SCOPED_TRACE(describeWorkload(w));
     FsimOptions base;
     const GoodMachineCheckpoint ck =
-        GoodMachineCheckpoint::record(w.net, w.seq, base);
+        testing::recordSequence(w.net, w.seq, base);
     for (const bool drop : {true, false}) {
-      SCOPED_TRACE(testing::Message() << "drop " << drop);
+      SCOPED_TRACE(::testing::Message() << "drop " << drop);
       FsimOptions opts = base;
       opts.dropDetected = drop;
       runChecked(w, opts, nullptr);
@@ -78,7 +79,7 @@ TEST(IndexConsistencyTest, RamGradingWithAndWithoutReplay) {
   w.faults.append(nodeStuckFaults(ram.net, inputs));
   w.faults.append(allTransistorStuckFaults(ram.net));
   const GoodMachineCheckpoint ck =
-      GoodMachineCheckpoint::record(w.net, w.seq, FsimOptions{});
+      testing::recordSequence(w.net, w.seq, FsimOptions{});
   EXPECT_EQ(runChecked(w, FsimOptions{}, nullptr), seq.size());
   EXPECT_GE(runChecked(w, FsimOptions{}, &ck), 1u);
 }
@@ -96,7 +97,7 @@ TEST(IndexConsistencyTest, SeuEnginesNaiveAndTailResumed) {
     g.maxPulse = 3;
     const TransientList campaign = generateSeuCampaign(w.net, g);
     const GoodMachineCheckpoint ck =
-        GoodMachineCheckpoint::record(w.net, w.seq, FsimOptions{});
+        testing::recordSequence(w.net, w.seq, FsimOptions{});
     for (const bool drop : {true, false}) {
       FsimOptions opts;
       opts.dropDetected = drop;

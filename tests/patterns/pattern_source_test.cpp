@@ -6,7 +6,8 @@
 //     equivalent (labels, settings, outputs), and rewind() restarts it;
 //   * PatternSource::fingerprint() equals
 //     GoodMachineCheckpoint::fingerprint() of the materialized sequence —
-//     the invariant the checkpoint store's streamed cache keying rests on;
+//     the invariant that lets streamed and materialized runs share one
+//     checkpoint store entry;
 //   * Engine::runStream produces results checksum-identical to Engine::run
 //     across the diff-oracle matrix (serial / concurrent / sharded{2,4}),
 //     with the derived per-pattern rows matching the

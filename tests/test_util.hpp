@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/checkpoint.hpp"
+#include "patterns/pattern_source.hpp"
 #include "switch/builder.hpp"
 #include "switch/logic_sim.hpp"
 
@@ -42,6 +44,16 @@ inline void driveRails(LogicSimulator& sim) {
   sim.setInput(net.nodeByName("Vdd"), State::S1);
   sim.setInput(net.nodeByName("Gnd"), State::S0);
   sim.settle();
+}
+
+/// Records the good machine of `net` over a materialized sequence (through
+/// its MaterializedPatternSource).
+inline GoodMachineCheckpoint recordSequence(const Network& net,
+                                            const TestSequence& seq,
+                                            const FsimOptions& options,
+                                            std::size_t budgetBytes = 0) {
+  MaterializedPatternSource source(seq);
+  return GoodMachineCheckpoint::record(net, source, options, budgetBytes);
 }
 
 }  // namespace fmossim::testing
