@@ -25,6 +25,10 @@ std::size_t vecBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
+/// Content bytes at which a chunk closes: the in-memory target, and the
+/// largest spilled one.
+constexpr std::size_t kMaxChunkTarget = std::size_t{64} << 10;
+
 // --- chunk (de)serialization -------------------------------------------------
 //
 // A spilled chunk is six raw POD arrays behind a count header (the end-bit
@@ -116,11 +120,9 @@ std::size_t GoodMachineCheckpoint::SettleBlock::contentBytes() const {
 /// out by a reader stay valid until its next enterSettle().
 struct GoodMachineCheckpoint::SpillState {
   int fd = -1;
-  std::vector<std::uint64_t> blockOff;     ///< numChunks + 1 file offsets
-  std::vector<std::uint32_t> firstSettle;  ///< per chunk: first settle index
-  std::uint32_t settleTotal = 0;           ///< settles across flushed chunks
-  std::size_t windowBudget = 0;            ///< bytes of decoded chunks to keep
-  std::size_t maxBlockBytes = 0;           ///< largest encoded chunk seen
+  std::vector<std::uint64_t> blockOff;  ///< numChunks + 1 file offsets
+  std::size_t windowBudget = 0;         ///< bytes of decoded chunks to keep
+  std::size_t maxBlockBytes = 0;        ///< largest encoded chunk seen
 
   mutable std::mutex mu;
   struct Entry {
@@ -161,7 +163,7 @@ struct GoodMachineCheckpoint::SpillState {
     throw Error(std::string(what) + ": " + std::strerror(errno));
   }
 
-  void appendBlock(const std::string& encoded, std::uint32_t settleCount) {
+  void appendBlock(const std::string& encoded) {
     const std::uint64_t off = blockOff.back();
     std::size_t done = 0;
     while (done < encoded.size()) {
@@ -173,8 +175,6 @@ struct GoodMachineCheckpoint::SpillState {
       done += static_cast<std::size_t>(n);
     }
     blockOff.push_back(off + encoded.size());
-    firstSettle.push_back(settleTotal);
-    settleTotal += settleCount;
     maxBlockBytes = std::max(maxBlockBytes, encoded.size());
   }
 
@@ -245,13 +245,14 @@ GoodMachineCheckpoint GoodMachineCheckpoint::record(
       ck.settleCount_ > 0 && ck.patternEndsAtSettle(ck.settleCount_ - 1),
       "checkpoint recording lost a settle");
   // Push-back growth leaves up to 2x slack in the resident vectors; return
-  // it so memoryBytes() reports (and the budget governs) real content
-  // (finish() trimmed the trace).
+  // it so memoryBytes() reports (and the budget governs) real content (the
+  // chunks themselves are exact-sized copies).
   ck.initialGoodStates_.shrink_to_fit();
   ck.outputs_.shrink_to_fit();
+  ck.chunkFirstSettle_.shrink_to_fit();
+  ck.chunks_.shrink_to_fit();
   if (ck.spill_ != nullptr) {
     ck.spill_->blockOff.shrink_to_fit();
-    ck.spill_->firstSettle.shrink_to_fit();
     // The replay window gets whatever the budget leaves above the fixed
     // resident floor, but always at least the largest chunk: one chunk
     // must be decodable or replay cannot proceed at all.
@@ -327,26 +328,20 @@ std::vector<State> GoodMachineCheckpoint::goodStateAfterPattern(
 
 std::size_t GoodMachineCheckpoint::fixedBytes() const {
   std::size_t n = vecBytes(initialGoodStates_) + vecBytes(finalGoodStates_) +
-                  vecBytes(patternEndBits_) + vecBytes(outputs_);
-  if (spill_ != nullptr) {
-    n += vecBytes(spill_->blockOff) + vecBytes(spill_->firstSettle);
-  }
+                  vecBytes(patternEndBits_) + vecBytes(outputs_) +
+                  vecBytes(chunkFirstSettle_) + vecBytes(chunks_);
+  if (spill_ != nullptr) n += vecBytes(spill_->blockOff);
   return n;
 }
 
 std::size_t GoodMachineCheckpoint::memoryBytes() const {
-  std::size_t n = fixedBytes() + trace_.bytes();
-  if (spill_ != nullptr) {
-    std::lock_guard<std::mutex> lock(spill_->mu);
-    n += spill_->cachedBytes;
+  std::size_t n = fixedBytes();
+  if (spill_ == nullptr) {
+    for (const auto& chunk : chunks_) n += chunk->bytes();
+    return n;
   }
-  return n;
-}
-
-std::uint32_t GoodMachineCheckpoint::spillChunkCount() const {
-  return spill_ == nullptr
-             ? 0
-             : static_cast<std::uint32_t>(spill_->firstSettle.size());
+  std::lock_guard<std::mutex> lock(spill_->mu);
+  return n + spill_->cachedBytes;
 }
 
 std::size_t GoodMachineCheckpoint::maxChunkBytes() const {
@@ -359,6 +354,7 @@ std::size_t GoodMachineCheckpoint::windowBudgetBytes() const {
 
 std::shared_ptr<const GoodMachineCheckpoint::SettleBlock>
 GoodMachineCheckpoint::loadBlock(std::uint32_t c) const {
+  if (spill_ == nullptr) return chunks_[c];
   SpillState& sp = *spill_;
   {
     std::lock_guard<std::mutex> lock(sp.mu);
@@ -409,37 +405,32 @@ CheckpointReader::CheckpointReader(const GoodMachineCheckpoint& ck)
 
 void CheckpointReader::enterSettle(std::uint32_t i) {
   FMOSSIM_ASSERT(i < ck_->numSettles(), "reader settle index out of range");
-  if (ck_->spill_ == nullptr) {
-    block_ = &ck_->trace_;
-    settle_ = block_->settles[i];
-    return;
-  }
-  // Spilled mode: find the chunk holding settle i, pin its decoded block.
   // Consecutive settles of one chunk — the sequential replay fast path —
-  // reuse the pin without touching the window cache. On a chunk switch,
-  // release the previous pin BEFORE loading: spans into it are invalidated
-  // by this call anyway, and holding it across the load would make the
-  // window need two chunks per reader (old + new), overshooting the budget
-  // exactly when it is tightest. With the pin dropped first, the eviction
-  // pass inside loadBlock can reclaim the previous chunk, so one chunk per
-  // reader is the true floor (as documented on memoryBytes()).
-  const std::vector<std::uint32_t>& fs = ck_->spill_->firstSettle;
-  const auto c = static_cast<std::uint32_t>(
-      std::upper_bound(fs.begin(), fs.end(), i) - fs.begin() - 1);
-  if (pin_ == nullptr || chunk_ != c) {
+  // reuse the pin. Otherwise find the chunk holding settle i and pin it.
+  // Release the previous pin BEFORE loading: spans into it are invalidated
+  // by this call anyway, and in spilled mode holding it across the load
+  // would make the window need two chunks per reader (old + new),
+  // overshooting the budget exactly when it is tightest. With the pin
+  // dropped first, the eviction pass inside loadBlock can reclaim the
+  // previous chunk, so one chunk per reader is the true floor (as
+  // documented on memoryBytes()).
+  if (pin_ == nullptr || i < chunkFirst_ ||
+      i - chunkFirst_ >= pin_->settles.size()) {
+    const std::vector<std::uint32_t>& fs = ck_->chunkFirstSettle_;
+    const auto c = static_cast<std::uint32_t>(
+        std::upper_bound(fs.begin(), fs.end(), i) - fs.begin() - 1);
     pin_.reset();
     pin_ = ck_->loadBlock(c);
-    chunk_ = c;
+    chunkFirst_ = fs[c];
   }
-  block_ = pin_.get();
-  settle_ = block_->settles[i - fs[c]];
+  settle_ = pin_->settles[i - chunkFirst_];
 }
 
 std::uint32_t CheckpointReader::vicinityFirst(std::uint32_t g) const {
   // Just past the last end bit below g, searched a word at a time. A
   // phase's first member follows the previous phase's last, which ends a
   // vicinity, so the search never leaves g's phase.
-  const std::uint64_t* bits = block_->vicinityEnds.data();
+  const std::uint64_t* bits = pin_->vicinityEnds.data();
   std::uint32_t w = g >> 6;
   std::uint64_t word = bits[w] & ((std::uint64_t{1} << (g & 63)) - 1);
   while (word == 0) {
@@ -452,7 +443,7 @@ std::uint32_t CheckpointReader::vicinityFirst(std::uint32_t g) const {
 std::uint32_t CheckpointReader::vicinityLast(std::uint32_t g) const {
   // A phase's last member always ends a vicinity, so the search stops
   // inside the phase.
-  const std::uint64_t* bits = block_->vicinityEnds.data();
+  const std::uint64_t* bits = pin_->vicinityEnds.data();
   std::uint32_t w = g >> 6;
   std::uint64_t word = bits[w] & (~std::uint64_t{0} << (g & 63));
   while (word == 0) word = bits[++w];
@@ -462,14 +453,14 @@ std::uint32_t CheckpointReader::vicinityLast(std::uint32_t g) const {
 // --- CheckpointRecorder ------------------------------------------------------
 
 CheckpointRecorder::CheckpointRecorder(GoodMachineCheckpoint& into)
-    : ck_(into) {
+    : ck_(into), chunkTarget_(kMaxChunkTarget) {
   if (ck_.spill_ != nullptr) {
     // /16: several chunks fit the window even when the budget is mostly
     // consumed by the fixed floor; clamped so tiny budgets still amortize
     // encode/decode and huge ones keep eviction granular.
     chunkTarget_ = std::clamp<std::size_t>(ck_.budgetBytes_ / 16,
                                            std::size_t{2} << 10,
-                                           std::size_t{64} << 10);
+                                           kMaxChunkTarget);
   }
 }
 
@@ -478,10 +469,24 @@ void CheckpointRecorder::inputChange(NodeId n, State v) {
 }
 
 void CheckpointRecorder::flushChunk() {
-  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  GoodMachineCheckpoint::SettleBlock& b = pending_;
   if (b.settles.empty()) return;
-  ck_.spill_->appendBlock(encodeBlock(b),
-                          static_cast<std::uint32_t>(b.settles.size()));
+  ck_.chunkFirstSettle_.push_back(
+      ck_.settleCount_ - static_cast<std::uint32_t>(b.settles.size()));
+  if (ck_.spill_ != nullptr) {
+    ck_.spill_->appendBlock(encodeBlock(b));
+  } else {
+    // Exact-size copies: the resident chunk carries no growth slack, and
+    // the pending block keeps its capacity for the next chunk.
+    auto chunk = std::make_shared<GoodMachineCheckpoint::SettleBlock>();
+    chunk->settles.assign(b.settles.begin(), b.settles.end());
+    chunk->phases.assign(b.phases.begin(), b.phases.end());
+    chunk->members.assign(b.members.begin(), b.members.end());
+    chunk->vicinityEnds.assign(b.vicinityEnds.begin(), b.vicinityEnds.end());
+    chunk->changes.assign(b.changes.begin(), b.changes.end());
+    chunk->inputChanges.assign(b.inputChanges.begin(), b.inputChanges.end());
+    ck_.chunks_.push_back(std::move(chunk));
+  }
   b.settles.clear();
   b.phases.clear();
   b.members.clear();
@@ -491,10 +496,8 @@ void CheckpointRecorder::flushChunk() {
 }
 
 void CheckpointRecorder::beginSettle() {
-  // In-memory mode grows the one resident block; spilled mode batches
-  // settles up to the chunk byte target.
-  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
-  if (ck_.spill_ != nullptr && b.contentBytes() >= chunkTarget_) flushChunk();
+  GoodMachineCheckpoint::SettleBlock& b = pending_;
+  if (b.contentBytes() >= chunkTarget_) flushChunk();
   const auto inputOff = static_cast<std::uint32_t>(b.inputChanges.size());
   const auto inputCount = static_cast<std::uint32_t>(pendingInputs_.size());
   b.inputChanges.insert(b.inputChanges.end(), pendingInputs_.begin(),
@@ -506,7 +509,7 @@ void CheckpointRecorder::beginSettle() {
 }
 
 void CheckpointRecorder::beginPhase() {
-  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  GoodMachineCheckpoint::SettleBlock& b = pending_;
   FMOSSIM_ASSERT(!b.settles.empty(), "phase recorded before any settle");
   b.phases.push_back({static_cast<std::uint32_t>(b.members.size()), 0,
                       static_cast<std::uint32_t>(b.changes.size()), 0});
@@ -515,7 +518,7 @@ void CheckpointRecorder::beginPhase() {
 
 void CheckpointRecorder::goodVicinity(std::span<const NodeId> members) {
   FMOSSIM_ASSERT(!members.empty(), "empty good vicinity recorded");
-  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  GoodMachineCheckpoint::SettleBlock& b = pending_;
   b.members.insert(b.members.end(), members.begin(), members.end());
   const std::size_t last = b.members.size() - 1;
   b.vicinityEnds.resize(endWords(b.members.size()), 0);
@@ -524,7 +527,7 @@ void CheckpointRecorder::goodVicinity(std::span<const NodeId> members) {
 }
 
 void CheckpointRecorder::goodCommit(NodeId n, State v) {
-  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
+  GoodMachineCheckpoint::SettleBlock& b = pending_;
   b.changes.emplace_back(n, v);
   ++b.phases.back().changeCount;
 }
@@ -544,20 +547,8 @@ void CheckpointRecorder::endPattern() {
 void CheckpointRecorder::finish() {
   FMOSSIM_ASSERT(pendingInputs_.empty(),
                  "input changes recorded after the last settle");
-  GoodMachineCheckpoint::SettleBlock& b = ck_.trace_;
-  if (ck_.spill_ != nullptr) {
-    flushChunk();
-    b = {};  // release the pending chunk's capacity
-  } else {
-    // Push-back growth leaves up to 2x slack; trim one vector at a time so
-    // the trace is never held twice.
-    b.settles.shrink_to_fit();
-    b.phases.shrink_to_fit();
-    b.members.shrink_to_fit();
-    b.vicinityEnds.shrink_to_fit();
-    b.changes.shrink_to_fit();
-    b.inputChanges.shrink_to_fit();
-  }
+  flushChunk();
+  pending_ = {};  // release the pending chunk's capacity
   ck_.patternEndBits_.shrink_to_fit();
 }
 

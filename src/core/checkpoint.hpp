@@ -40,22 +40,28 @@
 // change arena and goodStateAfterPattern() materializes a snapshot by
 // folding the deltas up to that pattern's last settle.
 //
-// Storage has two modes, chosen at record() time by `budgetBytes`; both
-// replay through the same SettleBlock layout:
+// The trace is recorded as a sequence of *chunks*: consecutive settles
+// batched until a chunk reaches a fixed target of content bytes (a few KiB
+// to 64 KiB), closed at a settle boundary. A resident per-chunk index (the
+// first settle of each chunk, one word per chunk) plus one pattern-end bit
+// per settle is all the per-settle state either storage mode keeps outside
+// the chunks. Storage has two modes, chosen at record() time by
+// `budgetBytes`; they differ only in where a finished chunk lives:
 //
-//   * **In-memory (budget 0).** The whole trace is one resident chunk —
-//     about 3.6 MB for RAM256's 1447 patterns.
+//   * **In-memory (budget 0).** Chunks close at the first settle boundary
+//     past 64 KiB of content and stay resident, copied to their exact size
+//     — about 3.6 MB in all for RAM256's 1447 patterns. Recording never
+//     grows one multi-MiB block, so its peak stays near the finished
+//     trace's size.
 //   * **Spilled (budget > 0).** The trace grows linearly with good-machine
-//     activity, so million-pattern sequences cannot hold it in RAM. Settles
-//     are batched into fixed-target *chunks* (a few KiB to 64 KiB of trace
-//     each) that are streamed to an unlinked temp file as they fill and
-//     replayed back through a sliding in-memory window (an LRU cache of
-//     decoded chunks) sized so that the checkpoint's resident footprint —
-//     reported by memoryBytes() — stays within the budget. Chunking keeps
-//     the resident per-settle index tiny (two words per *chunk*, one bit
-//     per settle), so a million-settle recording fits comfortably under a
-//     single-digit-MiB budget; within it, eviction and re-reads are
-//     invisible: replay is bit-identical to the in-memory mode.
+//     activity, so million-pattern sequences cannot hold it in RAM. Chunks
+//     (sized from the budget) are streamed to an unlinked temp file as they
+//     fill and replayed back through a sliding in-memory window (an LRU
+//     cache of decoded chunks) sized so that the checkpoint's resident
+//     footprint — reported by memoryBytes() — stays within the budget; a
+//     million-settle recording fits comfortably under a single-digit-MiB
+//     budget. Eviction and re-reads are invisible: replay is bit-identical
+//     to the in-memory mode.
 //
 // All replay access goes through a CheckpointReader cursor (one per
 // replaying engine); the trace itself is immutable after record() and safe
@@ -113,9 +119,9 @@ class GoodMachineCheckpoint {
     std::uint32_t phaseOff, phaseCount;
     std::uint32_t inputOff, inputCount;  ///< span into the input-change arena
   };
-  /// Consecutive settles' trace data in decodable form, offsets local to
-  /// the block: the whole trace of an in-memory checkpoint, or one chunk of
-  /// a spilled one (what the recorder fills and a file block decodes into).
+  /// One chunk: consecutive settles' trace data in decodable form, offsets
+  /// local to the block (what the recorder fills, an in-memory checkpoint
+  /// keeps and a spill-file block decodes into).
   struct SettleBlock {
     std::vector<Settle> settles;
     std::vector<Phase> phases;
@@ -130,7 +136,7 @@ class GoodMachineCheckpoint {
     /// finished and decoded blocks are exact-sized so capacity == size).
     std::size_t bytes() const;
     /// Content bytes regardless of vector slack (the recorder's flush
-    /// threshold — a spilling recorder keeps its capacity across chunks).
+    /// threshold — the recorder keeps its capacity across chunks).
     std::size_t contentBytes() const;
   };
 
@@ -221,21 +227,28 @@ class GoodMachineCheckpoint {
   /// The record-time memory budget (0 = unbounded).
   std::size_t budgetBytes() const { return budgetBytes_; }
 
+  /// Number of trace chunks (both storage modes).
+  std::uint32_t chunkCount() const {
+    return static_cast<std::uint32_t>(chunkFirstSettle_.size());
+  }
+  /// Index of the first settle of chunk `c` (c < chunkCount()).
+  std::uint32_t chunkFirstSettle(std::uint32_t c) const {
+    return chunkFirstSettle_[c];
+  }
+
   // --- spill diagnostics (0 when not spilled) --------------------------------
 
-  /// Number of chunks in the backing file.
-  std::uint32_t spillChunkCount() const;
   /// Largest encoded chunk (the window's hard floor: one chunk must always
   /// be decodable).
   std::size_t maxChunkBytes() const;
   /// Bytes of decoded chunks the sliding window may keep resident.
   std::size_t windowBudgetBytes() const;
 
-  /// Resident heap footprint in bytes: the whole trace in in-memory mode;
-  /// the fixed per-chunk/per-settle index plus the current window of
-  /// decoded chunks in spilled mode. The budget enforcement hook — stays
-  /// <= budgetBytes() whenever the budget exceeds the fixed floor plus one
-  /// chunk per concurrently replaying engine.
+  /// Resident heap footprint in bytes: the fixed per-node, per-settle and
+  /// per-chunk index plus every chunk in in-memory mode, or plus the
+  /// current window of decoded chunks in spilled mode. The budget
+  /// enforcement hook — stays <= budgetBytes() whenever the budget exceeds
+  /// the fixed floor plus one chunk per concurrently replaying engine.
   std::size_t memoryBytes() const;
 
  private:
@@ -245,19 +258,21 @@ class GoodMachineCheckpoint {
   struct SpillState;
 
   std::size_t fixedBytes() const;
-  /// Loads chunk `c` through the window cache (spilled mode).
+  /// Chunk `c`: the resident chunk in in-memory mode, or the chunk loaded
+  /// through the window cache in spilled mode.
   std::shared_ptr<const SettleBlock> loadBlock(std::uint32_t c) const;
 
   std::uint32_t settleCount_ = 0;  ///< total settles, both modes
-  /// In-memory mode: the whole trace, one resident block. Spilled mode: the
-  /// recorder's pending chunk while recording, empty afterwards (the trace
-  /// lives in the backing file, indexed per chunk by SpillState).
-  SettleBlock trace_;
+  /// Per chunk: the index of its first settle (both modes).
+  std::vector<std::uint32_t> chunkFirstSettle_;
+  /// In-memory mode: every finished chunk, exact-sized. Empty when spilled
+  /// (the chunks live in the backing file).
+  std::vector<std::shared_ptr<const SettleBlock>> chunks_;
 
   std::vector<State> initialGoodStates_;  ///< after the initial all-X settle
   std::vector<State> finalGoodStates_;
   /// Bit i set iff settle i ends a pattern (one bit per settle — the only
-  /// per-settle resident cost in spilled mode besides the chunk index).
+  /// per-settle resident cost outside the chunks).
   std::vector<std::uint64_t> patternEndBits_;
   std::vector<NodeId> outputs_;
   std::uint64_t numPatterns_ = 0;
@@ -270,11 +285,11 @@ class GoodMachineCheckpoint {
 };
 
 /// Forward-only replay cursor over a checkpoint's trace — the one access
-/// path that works in both storage modes. Each replaying engine owns one;
-/// in spilled mode the cursor pins its current settle's decoded chunk
-/// (keeping returned spans valid until the next enterSettle) and the shared
-/// window cache behind it slides forward with the replay. Consecutive
-/// settles of one chunk reuse the pin without touching the cache.
+/// path, the same in both storage modes. Each replaying engine owns one;
+/// the cursor pins its current settle's chunk (keeping returned spans valid
+/// until the next enterSettle), and in spilled mode the shared window cache
+/// behind it slides forward with the replay. Consecutive settles of one
+/// chunk reuse the pin without looking the chunk up again.
 class CheckpointReader {
  public:
   /// Binds to `ck` (must outlive the reader) without loading anything.
@@ -290,7 +305,7 @@ class CheckpointReader {
   /// evaluated, concatenated in evaluation order.
   std::span<const NodeId> members(std::uint32_t k) const {
     const GoodMachineCheckpoint::Phase& p = phase(k);
-    return {block_->members.data() + p.memberOff, p.memberCount};
+    return {pin_->members.data() + p.memberOff, p.memberCount};
   }
   /// Calls `fn(members)` once for each vicinity of phase `k` holding a
   /// member `n` with `hot(n)`, in evaluation order — one pass over the
@@ -298,7 +313,7 @@ class CheckpointReader {
   template <typename Hot, typename Fn>
   void forEachHotVicinity(std::uint32_t k, Hot&& hot, Fn&& fn) const {
     const GoodMachineCheckpoint::Phase& p = phase(k);
-    const NodeId* m = block_->members.data();
+    const NodeId* m = pin_->members.data();
     const std::uint32_t end = p.memberOff + p.memberCount;
     for (std::uint32_t g = p.memberOff; g < end; ++g) {
       if (!hot(m[g])) continue;
@@ -312,17 +327,17 @@ class CheckpointReader {
   std::span<const GoodMachineCheckpoint::Change> changes(
       std::uint32_t k) const {
     const GoodMachineCheckpoint::Phase& p = phase(k);
-    return {block_->changes.data() + p.changeOff, p.changeCount};
+    return {pin_->changes.data() + p.changeOff, p.changeCount};
   }
   /// The input-node changes applied just before the current settle.
   std::span<const GoodMachineCheckpoint::Change> inputChanges() const {
-    return {block_->inputChanges.data() + settle_.inputOff,
+    return {pin_->inputChanges.data() + settle_.inputOff,
             settle_.inputCount};
   }
 
  private:
   const GoodMachineCheckpoint::Phase& phase(std::uint32_t k) const {
-    return block_->phases[settle_.phaseOff + k];
+    return pin_->phases[settle_.phaseOff + k];
   }
   /// First member of the vicinity holding block member `g`.
   std::uint32_t vicinityFirst(std::uint32_t g) const;
@@ -331,21 +346,20 @@ class CheckpointReader {
   std::uint32_t vicinityLast(std::uint32_t g) const;
 
   const GoodMachineCheckpoint* ck_;
-  /// Pin on the current chunk (spilled mode only) and its index.
+  /// Pin on the chunk holding the current settle, and that chunk's first
+  /// settle index.
   std::shared_ptr<const GoodMachineCheckpoint::SettleBlock> pin_;
-  std::uint32_t chunk_ = 0;
-  /// The block holding the current settle: the resident trace, or pin_.
-  const GoodMachineCheckpoint::SettleBlock* block_ = nullptr;
+  std::uint32_t chunkFirst_ = 0;
   GoodMachineCheckpoint::Settle settle_{};
 };
 
 /// Recording sink the concurrent engine drives during a checkpoint-recording
-/// run. Appends settles to the checkpoint's trace block: in-memory mode
-/// keeps growing it, spilled mode streams it to the spill file as a chunk
-/// whenever it reaches the chunk byte target. One beginSettle() per
-/// settleAll(), one beginPhase() per unit-delay phase, then the phase's good
-/// vicinities and commits in engine order; endPattern() after each observed
-/// pattern; finish() completes the trace.
+/// run. Appends settles to a pending chunk and closes it at the next settle
+/// once it reaches the chunk byte target: in-memory mode keeps an
+/// exact-sized copy resident, spilled mode writes it to the spill file.
+/// One beginSettle() per settleAll(), one beginPhase() per unit-delay
+/// phase, then the phase's good vicinities and commits in engine order;
+/// endPattern() after each observed pattern; finish() completes the trace.
 class CheckpointRecorder {
  public:
   /// Records into `into` (must outlive the recorder; its spill mode is
@@ -366,19 +380,20 @@ class CheckpointRecorder {
   /// Marks the current settle as a pattern boundary (the engine observed
   /// outputs right after it).
   void endPattern();
-  /// Spills the final chunk, or trims the resident trace to its content;
-  /// recording is complete.
+  /// Closes the final chunk; recording is complete.
   void finish();
 
  private:
   void flushChunk();
 
   GoodMachineCheckpoint& ck_;
+  /// The chunk being filled; keeps its capacity across chunks.
+  GoodMachineCheckpoint::SettleBlock pending_;
   /// Input changes seen since the last beginSettle (owned by the next one).
   std::vector<GoodMachineCheckpoint::Change> pendingInputs_;
-  /// Spilled mode: spill the pending chunk once it holds this many content
-  /// bytes (small enough that the sliding window can hold several chunks
-  /// under tight budgets, large enough to amortize encode/decode).
+  /// Close the pending chunk once it holds this many content bytes (in
+  /// spilled mode small enough that the sliding window can hold several
+  /// chunks under tight budgets, large enough to amortize encode/decode).
   std::size_t chunkTarget_ = 0;
 };
 

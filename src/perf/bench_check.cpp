@@ -126,6 +126,13 @@ void checkScenarioAgainstBaseline(const ScenarioResult& fresh,
                    static_cast<unsigned long long>(base->nodeEvals),
                    static_cast<unsigned long long>(row.nodeEvals)));
     }
+    if (row.rowNodeEvalsDigest != base->rowNodeEvalsDigest) {
+      issue(rowKey(row),
+            format("per-row nodeEvals drift: baseline digest 0x%016" PRIx64
+                   ", fresh 0x%016" PRIx64 " — the work counter moved "
+                   "between patterns",
+                   base->rowNodeEvalsDigest, row.rowNodeEvalsDigest));
+    }
     if (row.numDetected != base->numDetected ||
         row.numFaults != base->numFaults) {
       issue(rowKey(row), format("detection drift: baseline %u/%u, fresh %u/%u",

@@ -6,12 +6,14 @@
 /// Two classes of check:
 ///
 ///   * **Exact** (machine-independent): result checksum, deterministic
-///     nodeEvals work counter, detection counts and workload shape must
-///     match the baseline bit for bit, and so must the checkpoint store's
-///     residentBytes when neither side set a memory budget (a spilled
-///     store's residency depends on window timing). Any drift means the
-///     simulation or the trace layout changed (or the baselines were not
-///     refreshed with the code change) and always fails the gate.
+///     nodeEvals work counter (its total and, for rows with per-pattern
+///     rows, the digest of every row's count), detection counts and
+///     workload shape must match the baseline bit for bit, and so must the
+///     checkpoint store's residentBytes when neither side set a memory
+///     budget (a spilled store's residency depends on window timing). Any
+///     drift means the simulation or the trace layout changed (or the
+///     baselines were not refreshed with the code change) and always fails
+///     the gate.
 ///   * **Wall clock** (machine-dependent): a row's fresh median may not
 ///     exceed the baseline median by more than the configured tolerance.
 ///     Faster is always fine. The tolerance is the override knob for noisy

@@ -240,6 +240,12 @@ std::string toJson(const ScenarioResult& r) {
     out += format("\"checksum\": \"0x%016" PRIx64 "\", ", row.checksum);
     out += format("\"nodeEvals\": %llu, ",
                   static_cast<unsigned long long>(row.nodeEvals));
+    // Additive: emitted only for rows with per-pattern rows, so rowless
+    // rows — and older baselines — stay byte-compatible.
+    if (row.rowNodeEvalsDigest != 0) {
+      out += format("\"rowNodeEvalsDigest\": \"0x%016" PRIx64 "\", ",
+                    row.rowNodeEvalsDigest);
+    }
     out += format("\"numDetected\": %u, ", row.numDetected);
     out += format("\"numFaults\": %u", row.numFaults);
     out += i + 1 < r.rows.size() ? "},\n" : "}\n";
@@ -347,6 +353,8 @@ ScenarioResult parseBenchJson(const std::string& text) {
           else if (rk == "reps") row.reps = static_cast<unsigned>(p.parseNumber());
           else if (rk == "checksum") row.checksum = parseChecksum(p.parseString());
           else if (rk == "nodeEvals") row.nodeEvals = static_cast<std::uint64_t>(p.parseNumber());
+          // Additive: absent in rowless rows and older baselines.
+          else if (rk == "rowNodeEvalsDigest") row.rowNodeEvalsDigest = parseChecksum(p.parseString());
           else if (rk == "numDetected") row.numDetected = static_cast<std::uint32_t>(p.parseNumber());
           else if (rk == "numFaults") row.numFaults = static_cast<std::uint32_t>(p.parseNumber());
           else throw Error("bench JSON: unknown row key '" + rk + "'");

@@ -70,6 +70,11 @@ struct BenchRow {
   /// the backends produced bit-identical results.
   std::uint64_t checksum = 0;
   std::uint64_t nodeEvals = 0;  ///< deterministic work counter (machine-free)
+  /// FNV-1a digest of every per-pattern row's nodeEvals, in pattern order
+  /// (rowNodeEvalsDigest): pins the work counter row by row, where
+  /// nodeEvals pins only its total. 0 for rowless rows (streamed, SEU);
+  /// additive schema field, emitted only when set.
+  std::uint64_t rowNodeEvalsDigest = 0;
   std::uint32_t numDetected = 0;  ///< faults detected by the sequence
   std::uint32_t numFaults = 0;    ///< fault-universe size
 };
@@ -151,6 +156,11 @@ void fillHostInfo(ScenarioResult& r);
 /// triples are folded from the derived rows (core/row_sink.hpp), so a
 /// streamed run's checksum equals the materialized run's exactly.
 std::uint64_t resultChecksum(const FaultSimResult& res);
+
+/// FNV-1a digest of `res.perPattern[i].nodeEvals` over every row, in
+/// pattern order; 0 for a rowless result. Kept apart from resultChecksum,
+/// whose values other harnesses pin.
+std::uint64_t rowNodeEvalsDigest(const FaultSimResult& res);
 
 /// Runs the scenario matrix; see the file comment.
 class BenchRunner {

@@ -1,13 +1,15 @@
-// Sliding-window eviction boundaries of the spilled checkpoint store:
-// a window budget exactly at a chunk edge, the single-chunk floor, and
-// re-pinning a chunk after the window evicted it. Each case must replay
-// content-identically to an unbounded in-memory recording — eviction is
+// Chunk boundaries of the checkpoint trace. Spilled mode: a window budget
+// exactly at a chunk edge, the single-chunk floor, and re-pinning a chunk
+// after the window evicted it. In-memory mode: the same chunked layout held
+// resident, exact-sized, and read at every chunk edge. Each case must replay
+// content-identically to the other storage mode — where a chunk lives is
 // purely a residency concern, never a correctness one.
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.hpp"
 #include "core/concurrent_sim.hpp"
 #include "gen/random_circuit.hpp"
+#include "perf/scenarios.hpp"
 #include "test_util.hpp"
 
 namespace fmossim {
@@ -79,7 +81,7 @@ struct WindowFixture : ::testing::Test {
     GoodMachineCheckpoint ck =
         testing::recordSequence(w.net, w.seq, opts, budget);
     EXPECT_TRUE(ck.spilled());
-    EXPECT_GT(ck.spillChunkCount(), 2u)
+    EXPECT_GT(ck.chunkCount(), 2u)
         << "workload too small to exercise eviction";
     EXPECT_EQ(ck.seqFingerprint(), mem.seqFingerprint());
     EXPECT_EQ(ck.numSettles(), mem.numSettles());
@@ -186,6 +188,156 @@ TEST_F(WindowFixture, RePinAfterEvictionReloadsIdenticalContent) {
     expectSameSettle(mem, a, 1);
     expectSameSettle(mem, b, last - 1);
   }
+}
+
+// --- in-memory chunks -------------------------------------------------------
+
+/// Content bytes of settles [first, end) of one chunk, counted the way the
+/// recorder's flush threshold counts them (one end bit per member, rounded
+/// up to whole words per chunk).
+std::size_t contentBytes(const GoodMachineCheckpoint& ck, std::uint32_t first,
+                         std::uint32_t end) {
+  using Ck = GoodMachineCheckpoint;
+  CheckpointReader rd(ck);
+  std::size_t phases = 0, members = 0, changes = 0, inputs = 0;
+  for (std::uint32_t s = first; s < end; ++s) {
+    rd.enterSettle(s);
+    phases += rd.phaseCount();
+    inputs += rd.inputChanges().size();
+    for (std::uint32_t k = 0; k < rd.phaseCount(); ++k) {
+      members += rd.members(k).size();
+      changes += rd.changes(k).size();
+    }
+  }
+  return (end - first) * sizeof(Ck::Settle) + phases * sizeof(Ck::Phase) +
+         members * sizeof(NodeId) + (members + 63) / 64 * 8 +
+         (changes + inputs) * sizeof(Ck::Change);
+}
+
+/// One past the last settle of chunk `c`.
+std::uint32_t chunkEnd(const GoodMachineCheckpoint& ck, std::uint32_t c) {
+  return c + 1 < ck.chunkCount() ? ck.chunkFirstSettle(c + 1)
+                                 : ck.numSettles();
+}
+
+constexpr std::size_t kChunkTarget = std::size_t{64} << 10;
+
+/// RAM64 sequence 1 (paper Fig. 1), whose trace spans several 64 KiB
+/// chunks, recorded in memory and spilled (single-chunk window); built once.
+struct Ram64Recordings {
+  perf::Workload w;
+  GoodMachineCheckpoint mem;
+  GoodMachineCheckpoint spilled;
+};
+const Ram64Recordings& ram64() {
+  static const Ram64Recordings r = [] {
+    perf::Workload w = perf::buildScenarioWorkload("ram64_seq1");
+    GoodMachineCheckpoint mem =
+        testing::recordSequence(w.net, w.seq, FsimOptions{});
+    GoodMachineCheckpoint spilled =
+        testing::recordSequence(w.net, w.seq, FsimOptions{}, 1);
+    return Ram64Recordings{std::move(w), std::move(mem), std::move(spilled)};
+  }();
+  return r;
+}
+
+// The in-memory trace is chunked like a spilled one: several chunks, each
+// closed at the first settle boundary at or past the 64 KiB target, so no
+// chunk's content exceeds the target by more than its last settle.
+TEST(MemoryChunkTest, InMemoryTraceIsChunkedAtTheTarget) {
+  const GoodMachineCheckpoint* mem = &ram64().mem;
+  ASSERT_FALSE(mem->spilled());
+  ASSERT_GT(mem->chunkCount(), 1u);
+  EXPECT_EQ(mem->chunkFirstSettle(0), 0u);
+  for (std::uint32_t c = 0; c < mem->chunkCount(); ++c) {
+    const std::uint32_t first = mem->chunkFirstSettle(c);
+    const std::uint32_t end = chunkEnd(*mem, c);
+    ASSERT_LT(first, end) << "chunk " << c;
+    EXPECT_LT(contentBytes(*mem, first, end - 1), kChunkTarget)
+        << "chunk " << c << " exceeds the target by more than one settle";
+    if (c + 1 < mem->chunkCount()) {
+      EXPECT_GE(contentBytes(*mem, first, end), kChunkTarget)
+          << "chunk " << c << " closed before reaching the target";
+    }
+  }
+}
+
+// memoryBytes() is the fixed per-node, per-settle and per-chunk index plus
+// the chunks' exact content: no growth slack anywhere.
+TEST(MemoryChunkTest, MemoryBytesIsFixedPlusExactChunkBytes) {
+  const GoodMachineCheckpoint* mem = &ram64().mem;
+  std::size_t chunks = 0;
+  for (std::uint32_t c = 0; c < mem->chunkCount(); ++c) {
+    chunks += contentBytes(*mem, mem->chunkFirstSettle(c), chunkEnd(*mem, c));
+  }
+  const std::size_t fixed =
+      2 * std::size_t{mem->numNodes()} * sizeof(State) +
+      (mem->numSettles() + 63) / 64 * 8 +
+      mem->outputs().size() * sizeof(NodeId) +
+      mem->chunkCount() *
+          (sizeof(std::uint32_t) +
+           sizeof(std::shared_ptr<const GoodMachineCheckpoint::SettleBlock>));
+  EXPECT_EQ(mem->memoryBytes(), fixed + chunks);
+}
+
+// At every in-memory chunk edge, the snapshot fold, the pattern-end lookup
+// and a reader entering settles out of order (backwards across the edge,
+// then jumping between chunks) agree with the spilled recording.
+TEST(MemoryChunkTest, ChunkEdgesAgreeWithSpilledMode) {
+  const GoodMachineCheckpoint* mem = &ram64().mem;
+  const GoodMachineCheckpoint* spilled = &ram64().spilled;
+  ASSERT_TRUE(spilled->spilled());
+  ASSERT_EQ(spilled->numSettles(), mem->numSettles());
+  for (std::uint64_t p = 0; p < mem->numPatterns(); ++p) {
+    ASSERT_EQ(mem->settleEndingPattern(p), spilled->settleEndingPattern(p))
+        << "pattern " << p;
+  }
+  CheckpointReader rd(*mem);
+  std::uint64_t p = 0;
+  for (std::uint32_t c = 1; c < mem->chunkCount(); ++c) {
+    const std::uint32_t edge = mem->chunkFirstSettle(c);
+    expectSameSettle(*spilled, rd, edge);
+    expectSameSettle(*spilled, rd, edge - 1);
+    expectSameSettle(*spilled, rd, mem->chunkFirstSettle(c / 2));
+    // The patterns ending on either side of the edge.
+    while (p + 1 < mem->numPatterns() &&
+           mem->settleEndingPattern(p) < edge - 1) {
+      ++p;
+    }
+    for (const std::uint64_t q : {p, std::min(p + 1, mem->numPatterns() - 1)}) {
+      EXPECT_EQ(mem->goodStateAfterPattern(q),
+                spilled->goodStateAfterPattern(q))
+          << "pattern " << q << " at chunk edge " << c;
+    }
+  }
+}
+
+// Replays from either storage mode are identical row for row, work counters
+// included, and derive the same per-pattern good evaluations.
+TEST(MemoryChunkTest, InMemoryAndSpilledReplaysAgreeRowForRow) {
+  const GoodMachineCheckpoint* mem = &ram64().mem;
+  const GoodMachineCheckpoint* spilled = &ram64().spilled;
+  const perf::Workload* w = &ram64().w;
+  FsimOptions opts;
+  opts.policy = DetectionPolicy::AnyDifference;
+  ConcurrentFaultSimulator fromMem(w->net, w->faults, opts, nullptr, mem);
+  const FaultSimResult a = fromMem.run(w->seq);
+  ConcurrentFaultSimulator fromSpill(w->net, w->faults, opts, nullptr,
+                                     spilled);
+  const FaultSimResult b = fromSpill.run(w->seq);
+  EXPECT_EQ(a.detectedAtPattern, b.detectedAtPattern);
+  EXPECT_EQ(a.finalGoodStates, b.finalGoodStates);
+  EXPECT_EQ(a.totalNodeEvals, b.totalNodeEvals);
+  ASSERT_EQ(a.perPattern.size(), b.perPattern.size());
+  for (std::size_t pi = 0; pi < a.perPattern.size(); ++pi) {
+    const PatternStat& x = a.perPattern[pi];
+    const PatternStat& y = b.perPattern[pi];
+    EXPECT_EQ(x.nodeEvals, y.nodeEvals) << "pattern " << pi;
+    EXPECT_EQ(x.newlyDetected, y.newlyDetected) << "pattern " << pi;
+    EXPECT_EQ(x.cumulativeDetected, y.cumulativeDetected) << "pattern " << pi;
+    EXPECT_EQ(x.aliveAfter, y.aliveAfter) << "pattern " << pi;
+  }
+  EXPECT_EQ(mem->goodEvalsPerPattern(), spilled->goodEvalsPerPattern());
 }
 
 }  // namespace

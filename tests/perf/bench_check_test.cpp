@@ -86,6 +86,21 @@ TEST(BenchCheckTest, ChecksumAndWorkDriftAlwaysFail) {
             std::string::npos);
 }
 
+// A row's total can stay exact while its work moves between patterns (a
+// merge that drops each row's good evaluations but keeps the total): the
+// per-row digest catches it at any tolerance.
+TEST(BenchCheckTest, PerRowWorkDriftAlwaysFails) {
+  ScenarioResult base = makeScenario();
+  base.rows[1].rowNodeEvalsDigest = 0x1111;
+  ScenarioResult fresh = base;
+  fresh.rows[1].rowNodeEvalsDigest = 0x2222;
+  CheckReport report;
+  checkScenarioAgainstBaseline(fresh, base, 1e9, report);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_NE(report.issues[0].detail.find("per-row nodeEvals drift"),
+            std::string::npos);
+}
+
 TEST(BenchCheckTest, UnbudgetedCheckpointFootprintIsExact) {
   ScenarioResult base = makeScenario();
   base.checkpointRecordings = 1;

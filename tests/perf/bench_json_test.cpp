@@ -38,7 +38,9 @@ ScenarioResult sample() {
   row.backend = "serial";
   row.jobs = 1;
   row.checksum = 0x1;
+  row.rowNodeEvalsDigest = 0xfedcba9876543210ULL;  // full 64-bit round trip
   r.rows.push_back(row);
+  row.rowNodeEvalsDigest = 0;
   row.backend = "sharded-4-hist";
   row.jobs = 4;
   row.schedule = "history";  // non-default: must round-trip
@@ -70,6 +72,7 @@ TEST(BenchJsonTest, RoundTripPreservesEveryField) {
     EXPECT_EQ(back.rows[i].reps, r.rows[i].reps);
     EXPECT_EQ(back.rows[i].checksum, r.rows[i].checksum);
     EXPECT_EQ(back.rows[i].nodeEvals, r.rows[i].nodeEvals);
+    EXPECT_EQ(back.rows[i].rowNodeEvalsDigest, r.rows[i].rowNodeEvalsDigest);
     EXPECT_EQ(back.rows[i].numDetected, r.rows[i].numDetected);
     EXPECT_EQ(back.rows[i].numFaults, r.rows[i].numFaults);
     EXPECT_EQ(back.rows[i].schedule, r.rows[i].schedule);
@@ -94,6 +97,17 @@ TEST(BenchJsonTest, ScheduleFieldIsAdditive) {
   EXPECT_EQ(back.rows[0].schedule, "contiguous");
   EXPECT_EQ(back.rows[1].schedule, "contiguous");
   EXPECT_EQ(back.rows[2].schedule, "history");
+}
+
+// The per-row nodeEvals digest is additive: only rows that carry one emit
+// the key, so rowless rows and older baselines are unaffected.
+TEST(BenchJsonTest, RowNodeEvalsDigestIsAdditive) {
+  const std::string json = toJson(sample());
+  const std::size_t first = json.find("\"rowNodeEvalsDigest\"");
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(json.find("\"rowNodeEvalsDigest\"", first + 1), std::string::npos);
+  EXPECT_NE(json.find("\"rowNodeEvalsDigest\": \"0xfedcba9876543210\""),
+            std::string::npos);
 }
 
 TEST(BenchJsonTest, ChecksumSerializesAsHexString) {

@@ -75,6 +75,24 @@ TEST(ResultChecksumTest, SensitiveToDetectionsAndStates) {
   EXPECT_NE(resultChecksum(changed), base);
 }
 
+// The per-row digest sees work that moves between patterns with the total
+// unchanged; resultChecksum, pinned elsewhere, does not fold work at all.
+TEST(ResultChecksumTest, RowDigestSeesWorkMovingBetweenRows) {
+  FaultSimResult r;
+  r.numPatterns = 2;
+  r.perPattern.resize(2);
+  r.perPattern[0].nodeEvals = 10;
+  r.perPattern[1].nodeEvals = 20;
+  const std::uint64_t digest = rowNodeEvalsDigest(r);
+  EXPECT_NE(digest, 0u);
+  FaultSimResult moved = r;
+  moved.perPattern[0].nodeEvals = 20;
+  moved.perPattern[1].nodeEvals = 10;
+  EXPECT_NE(rowNodeEvalsDigest(moved), digest);
+  EXPECT_EQ(resultChecksum(moved), resultChecksum(r));
+  EXPECT_EQ(rowNodeEvalsDigest(FaultSimResult{}), 0u);  // rowless
+}
+
 TEST(BenchRunnerTest, SmokeRunAgreesAcrossBackends) {
   BenchConfig config;
   config.smoke = true;
@@ -104,6 +122,8 @@ TEST(BenchRunnerTest, SmokeRunAgreesAcrossBackends) {
   for (std::size_t i = 0; i < sr.rows.size(); ++i) {
     EXPECT_EQ(again.rows[i].checksum, sr.rows[i].checksum);
     EXPECT_EQ(again.rows[i].nodeEvals, sr.rows[i].nodeEvals);
+    EXPECT_EQ(again.rows[i].rowNodeEvalsDigest, sr.rows[i].rowNodeEvalsDigest);
+    EXPECT_NE(sr.rows[i].rowNodeEvalsDigest, 0u) << sr.rows[i].backend;
   }
 }
 
