@@ -15,23 +15,13 @@ namespace {
   throw Error(format("transient spec line %zu: %s", lineNo, msg.c_str()));
 }
 
-/// Strict unsigned decimal parse (see fault_spec.cpp): every character must
-/// be a digit and the value must fit the caller's range.
+/// Strict unsigned decimal parse (util/strings.hpp) within the caller's
+/// range.
 std::uint64_t parseUint64(std::string_view tok, std::size_t lineNo,
                           const char* what, std::uint64_t maxValue) {
-  if (tok.empty()) fail(lineNo, format("empty %s", what));
-  std::uint64_t value = 0;
-  for (const char c : tok) {
-    if (c < '0' || c > '9') {
-      fail(lineNo, format("invalid %s '%s'", what, std::string(tok).c_str()));
-    }
-    if (value > maxValue / 10 ||
-        value * 10 > maxValue - static_cast<std::uint64_t>(c - '0')) {
-      fail(lineNo, format("%s '%s' out of range", what, std::string(tok).c_str()));
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
+  const auto v = parseDecimal(tok, maxValue);
+  if (!v) fail(lineNo, format("invalid %s '%s'", what, std::string(tok).c_str()));
+  return *v;
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -17,22 +16,12 @@ namespace {
   throw Error(format("sequence line %zu: %s", lineNo, msg.c_str()));
 }
 
-/// Strict 64-bit count parse: digits only, overflow rejected (no silent
-/// stoul truncation — a declared count past 2^64 is malformed, not wrapped).
+/// Strict 64-bit count parse: a declared count past 2^64 is malformed, not
+/// wrapped.
 std::uint64_t parseCount(const std::string& tok, std::size_t lineNo) {
-  if (tok.empty()) fail(lineNo, "patterns requires a count");
-  std::uint64_t v = 0;
-  for (const char c : tok) {
-    if (c < '0' || c > '9') {
-      fail(lineNo, "malformed pattern count '" + tok + "'");
-    }
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10) {
-      fail(lineNo, "pattern count '" + tok + "' overflows 64 bits");
-    }
-    v = v * 10 + d;
-  }
-  return v;
+  const auto v = parseDecimal(tok);
+  if (!v) fail(lineNo, "malformed pattern count '" + tok + "'");
+  return *v;
 }
 
 /// Parses the assignments of a `set` line into an InputSetting.

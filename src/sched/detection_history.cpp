@@ -49,8 +49,9 @@ std::optional<DetectionHistory> loadHistoryFile(
   // universe: stale history must not shape this run's schedule.
   ok = ok &&
        (expectedFingerprint == 0 || h.faultsFingerprint == expectedFingerprint);
+  // No reserve(count): the count is untrusted input, and a short file must
+  // fall back to no history rather than allocate what it claims.
   if (ok) {
-    h.detectedAtPattern.reserve(count);
     for (std::size_t i = 0; i < count && ok; ++i) {
       std::int32_t d = 0;
       ok = std::fscanf(f, " %" SCNd32, &d) == 1 && d >= -1;

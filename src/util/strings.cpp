@@ -42,6 +42,19 @@ bool startsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+std::optional<std::uint64_t> parseDecimal(std::string_view s,
+                                          std::uint64_t maxValue) {
+  if (s.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : s) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (d > maxValue || value > (maxValue - d) / 10) return std::nullopt;
+    value = value * 10 + d;
+  }
+  return value;
+}
+
 std::string toUpper(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));

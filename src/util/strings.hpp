@@ -1,6 +1,9 @@
 // Small string helpers shared by the netlist parsers and report writers.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +22,14 @@ std::vector<std::string_view> split(std::string_view s, char delim);
 
 /// True if s begins with the given prefix.
 bool startsWith(std::string_view s, std::string_view prefix);
+
+/// Strict unsigned decimal parse: ASCII digits only (no sign, whitespace or
+/// suffix) with a value no greater than `maxValue`. Anything else, overflow
+/// included, is nullopt, so "12abc", "-1" or " 1" never parse as a
+/// truncated or wrapped number.
+std::optional<std::uint64_t> parseDecimal(
+    std::string_view s,
+    std::uint64_t maxValue = std::numeric_limits<std::uint64_t>::max());
 
 /// Uppercases ASCII letters.
 std::string toUpper(std::string_view s);

@@ -235,6 +235,29 @@ TEST(SchedulerMatrixTest, HistorySidecarRoundTrip) {
                    .has_value());
   EXPECT_TRUE(sched::loadHistoryFile(path, loaded->faultsFingerprint)
                   .has_value());
+
+  // The right key over a count the file cannot hold (2^62, or -1 read as
+  // SIZE_MAX) is a damaged file: no history, never an allocation of the
+  // declared size, and a history-scheduled run still matches contiguous.
+  for (const char* count : {"4611686018427387904", "-1"}) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "fmossim-history v1\nfaults %016llx %s\n",
+                 static_cast<unsigned long long>(loaded->faultsFingerprint),
+                 count);
+    for (const std::int32_t d : loaded->detectedAtPattern) {
+      std::fprintf(f, "%d\n", d);
+    }
+    std::fclose(f);
+    EXPECT_FALSE(sched::loadHistoryFile(path, loaded->faultsFingerprint)
+                     .has_value())
+        << count;
+    ShardedRunner damaged(w.net, w.faults, fopts, 2, 0, nullptr, 0,
+                          sched::SchedulePolicy::History, nullptr, path);
+    EXPECT_EQ(perf::resultChecksum(damaged.run(w.seq)),
+              perf::resultChecksum(ref))
+        << count;
+  }
   std::remove(path.c_str());
 }
 

@@ -124,6 +124,24 @@ TEST(SimFormatTest, OutOfRangeDeclarationsCarryLineNumbers) {
   }
 }
 
+TEST(SimFormatTest, NodeSizeParseBoundIsOneMillionNine) {
+  // The parser admits sizes up to 1,000,009 and leaves the range check to
+  // the signal domain; one more is the parser's own rejection.
+  const auto message = [](const char* size) {
+    try {
+      parseSimNetlist(std::string("node b ") + size + "\nn a Vdd b\n");
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message("1000009").find("invalid node size"), std::string::npos)
+      << message("1000009");
+  EXPECT_NE(message("1000010").find("invalid node size '1000010'"),
+            std::string::npos)
+      << message("1000010");
+}
+
 TEST(SimFormatTest, WriteReadRoundTrip) {
   const Network net = parseSimNetlist(
       "input in clk\n"

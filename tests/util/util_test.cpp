@@ -1,6 +1,8 @@
 // util: RNG determinism and distribution sanity, string helpers.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "util/rng.hpp"
@@ -105,6 +107,38 @@ TEST(StringsTest, StartsWithAndUpper) {
   EXPECT_TRUE(startsWith("INPUT(a)", "INPUT"));
   EXPECT_FALSE(startsWith("IN", "INPUT"));
   EXPECT_EQ(toUpper("nAnD2"), "NAND2");
+}
+
+TEST(StringsTest, ParseDecimalIsStrict) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const struct {
+    const char* text;
+    std::uint64_t maxValue;
+    std::optional<std::uint64_t> want;
+  } cases[] = {
+      {"", kMax, std::nullopt},
+      {"+1", kMax, std::nullopt},
+      {"-1", kMax, std::nullopt},
+      {" 1", kMax, std::nullopt},
+      {"1 ", kMax, std::nullopt},
+      {"12abc", kMax, std::nullopt},
+      {"0", kMax, 0},
+      {"007", kMax, 7},
+      {"18446744073709551615", kMax, kMax},
+      {"18446744073709551616", kMax, std::nullopt},
+      {"99999999999999999999", kMax, std::nullopt},
+      {"1000009", 1000009, 1000009},
+      {"1000010", 1000009, std::nullopt},
+      {"0001000009", 1000009, 1000009},
+      {"4294967295", 0xffffffffULL, 0xffffffffULL},
+      {"4294967296", 0xffffffffULL, std::nullopt},
+      {"0", 0, 0},
+      {"1", 0, std::nullopt},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(parseDecimal(c.text, c.maxValue), c.want)
+        << "'" << c.text << "' max " << c.maxValue;
+  }
 }
 
 TEST(StringsTest, Format) {
