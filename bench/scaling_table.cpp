@@ -109,11 +109,10 @@ int main() {
   std::printf("\n  Estimator validation (true serial run, RAM64, all faults)\n");
   SerialOptions sopts;
   sopts.policy = DetectionPolicy::AnyDifference;
-  SerialBackend serialBackend(w64.net, w64.faults, sopts);
-  serialBackend.run(w64.seq);
-  // lastSerialResult() keeps the directly measured good/faulty timing split
-  // the shared FaultSimResult folds together.
-  const SerialRunResult& real = serialBackend.lastSerialResult();
+  // The serial simulator's own result keeps the directly measured
+  // good/faulty timing split the shared FaultSimResult folds together.
+  const SerialRunResult real =
+      SerialFaultSimulator(w64.net, sopts).run(w64.seq, w64.faults);
   const double faultSeconds = real.faultSeconds;
   const std::uint64_t faultEvals = real.faultNodeEvals;
   std::printf("  true serial: %.3f s, %llu evals; estimate: %.3f s, %.0f evals\n",

@@ -1,5 +1,6 @@
 #include "cli.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -74,12 +75,25 @@ std::size_t Args::bytes() {
   return static_cast<std::size_t>(*v) << shift;
 }
 
+// strtod alone would also take whitespace, signs, exponents, hex floats,
+// inf and nan; the grammar is checked first, so every integer and real flag
+// refuses the same forms.
 double Args::real() {
   const char* text = value();
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0) {
-    invalid(text, "a finite number >= 0");
+  const std::string_view s(text);
+  const auto digits = [](std::string_view d) {
+    return !d.empty() && std::all_of(d.begin(), d.end(), [](char c) {
+      return c >= '0' && c <= '9';
+    });
+  };
+  const std::size_t dot = s.find('.');
+  const bool wellFormed =
+      dot == std::string_view::npos
+          ? digits(s)
+          : digits(s.substr(0, dot)) && digits(s.substr(dot + 1));
+  const double v = wellFormed ? std::strtod(text, nullptr) : 0.0;
+  if (!wellFormed || !std::isfinite(v)) {
+    invalid(text, "a finite decimal >= 0, as D or D.D");
   }
   return v;
 }

@@ -42,7 +42,7 @@ class Args {
   std::uint32_t count(std::uint32_t maxValue);
   /// Plain bytes or a k/m/g suffix (binary units), without wrapping.
   std::size_t bytes();
-  /// A finite real >= 0.
+  /// A finite decimal >= 0: digits, optionally a point and more digits.
   double real();
   /// any | definite.
   DetectionPolicy policy();

@@ -51,9 +51,9 @@ int runLoadgen(int argc, char** argv) {
     if (takeDaemonFlag(a, opts.inprocServer)) continue;
     if (arg == "--socket") opts.socketPath = a.value();
     else if (arg == "--inproc") opts.inproc = true;
-    else if (arg == "--seeds") opts.circuits = a.u64(kU32Max);
-    else if (arg == "--sequences") opts.sequencesPerCircuit = a.u64(kU32Max);
-    else if (arg == "--requests") opts.requests = a.u64(kU32Max);
+    else if (arg == "--seeds") opts.circuits = a.count(kU32Max);
+    else if (arg == "--sequences") opts.sequencesPerCircuit = a.count(kU32Max);
+    else if (arg == "--requests") opts.requests = a.count(kU32Max);
     else if (arg == "--seed") opts.baseSeed = a.u64();
     else if (arg == "--zipf") opts.zipfExponent = a.real();
     // Each connection is a client thread (at most one per request).

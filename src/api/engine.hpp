@@ -1,10 +1,17 @@
 /// \file
 /// Engine — the single entry point for fault simulation.
 ///
-/// Owns the network and fault list, selects a backend (serial replay,
-/// concurrent difference simulation, or sharded parallel concurrent runs)
-/// from EngineOptions, and exposes the uniform FaultSimulator contract with
-/// repeatable runs:
+/// Owns the network and fault list and runs them on the strategy that
+/// EngineOptions selects, with repeatable runs:
+///
+///   * Backend::Serial — one fresh LogicSimulator replay per fault (paper
+///     §1), lifted into the shared FaultSimResult shape.
+///   * Backend::Concurrent with jobs = 1, or over a single fault — a fresh
+///     ConcurrentFaultSimulator per call (paper §4; the core engine is
+///     single-shot).
+///   * Backend::Concurrent with jobs > 1 — an owned ShardedRunner (see
+///     api/sharded_runner.hpp) that replays one good-machine checkpoint per
+///     fault batch across a worker pool.
 ///
 /// \code
 ///   Engine engine(net, faults, {.backend = Backend::Concurrent, .jobs = 4});
@@ -18,14 +25,29 @@
 /// explicitly.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 
-#include "api/backends.hpp"
-#include "api/fault_simulator.hpp"
-#include "api/sharded_runner.hpp"
+#include "core/checkpoint_store.hpp"
+#include "core/concurrent_sim.hpp"  // FaultSimResult, PatternStat, FsimOptions
+#include "core/serial_sim.hpp"
+#include "faults/fault.hpp"
+#include "patterns/pattern.hpp"
+#include "sched/fault_schedule.hpp"
+#include "switch/network.hpp"
 
+/// Switch-level concurrent fault simulation (Bryant & Schuster, DAC 1985
+/// reproduction). See README.md for the architecture overview.
 namespace fmossim {
+
+class ShardedRunner;
+
+/// Invoked after each pattern with the (possibly merged) per-pattern row.
+/// The serial and sharded strategies call it only after the whole run, once
+/// per pattern in ascending order.
+using PatternCallback = std::function<void(const PatternStat&)>;
 
 /// Content fingerprint of a fault list (FNV-1a over each fault's kind,
 /// node/transistor index and stuck value — names are excluded, mirroring
@@ -67,10 +89,11 @@ struct EngineOptions {
   /// Shared good-machine checkpoint cache (jobs > 1 only). Engines handed
   /// the same store record the fault-free run once per (network, sequence)
   /// and reuse it across engines, rows and run() calls — the cache survives
-  /// Engine::reset(), which only rebuilds the backend. Null (the default)
-  /// gives each sharded backend a private store with `checkpointBudgetBytes`
-  /// as its budget; that private cache still persists across run() calls
-  /// but dies with reset(). Results are bit-identical either way.
+  /// Engine::reset(), which only clears the engine's own state. Null (the
+  /// default) gives each sharded runner a private store with
+  /// `checkpointBudgetBytes` as its budget; that private cache still
+  /// persists across run() calls but dies with reset(). Results are
+  /// bit-identical either way.
   std::shared_ptr<CheckpointStore> checkpointStore;
   /// Memory budget in bytes for recorded good-machine checkpoints (the CLI's
   /// `--checkpoint-budget`); 0 = unbounded (in-memory trace). A positive
@@ -106,41 +129,53 @@ struct EngineOptions {
   std::uint32_t debugLoseTriggerEvery = 0;
 };
 
-/// The facade every caller should use: owns the workload, builds the
-/// selected backend, and delegates the FaultSimulator contract to it.
-class Engine : public FaultSimulator {
+/// The core engines' options for an Engine configuration: the one place
+/// EngineOptions' simulation fields map onto FsimOptions (the jobs = 1 engine
+/// and every ShardedRunner batch run under it).
+FsimOptions fsimOptions(const EngineOptions& options);
+
+/// The facade every caller should use: owns the workload and runs it on the
+/// strategy EngineOptions selects (see the file comment).
+class Engine {
  public:
   /// Takes ownership of the network and fault list (copy or move in).
   Engine(Network net, FaultList faults, EngineOptions options = {});
+  ~Engine();
 
-  Engine(const Engine&) = delete;             ///< non-copyable (owns backend)
-  Engine& operator=(const Engine&) = delete;  ///< non-copyable (owns backend)
+  Engine(const Engine&) = delete;             ///< non-copyable (owns runner)
+  Engine& operator=(const Engine&) = delete;  ///< non-copyable (owns runner)
 
-  /// Name of the selected backend ("serial", "concurrent", "sharded").
-  const char* backendName() const override { return backend_->backendName(); }
+  /// Name of the selected strategy ("serial", "concurrent", "sharded").
+  const char* backendName() const;
   /// The owned network.
-  const Network& network() const override { return net_; }
+  const Network& network() const { return net_; }
   /// The owned fault list.
-  const FaultList& faults() const override { return faults_; }
+  const FaultList& faults() const { return faults_; }
   /// The options the engine was constructed with.
   const EngineOptions& options() const { return options_; }
 
-  /// Runs the sequence on the selected backend (fresh session per call).
+  /// Runs the full test sequence and returns the complete result: per-pattern
+  /// rows, per-fault detection indices and coverage, whatever the strategy.
+  /// Repeatable: each call simulates from scratch. `onPattern` (may be null)
+  /// fires with each pattern's (merged) row.
   FaultSimResult run(const TestSequence& seq,
-                     const PatternCallback& onPattern) override;
-  using FaultSimulator::run;
+                     const PatternCallback& onPattern = {});
 
-  /// Streaming run on the selected backend (see FaultSimulator::runStream):
-  /// the concurrent and sharded backends pull patterns from the source
-  /// directly with flat resident memory; the serial backend falls back to
-  /// materializing the source.
+  /// Streaming run: pulls patterns from `source` (rewinding it first, so the
+  /// call is repeatable like run()) and delivers per-pattern rows to `sink`
+  /// and `onPattern` in pattern order. The concurrent and sharded strategies
+  /// keep resident memory flat in the sequence length and return a rowless
+  /// result (perPattern empty, numPatterns/droppedDetected set — see
+  /// core/row_sink.hpp); the serial strategy materializes the source into a
+  /// TestSequence and returns run()'s result.
   FaultSimResult runStream(PatternSource& source, RowSink* sink = nullptr,
-                           const PatternCallback& onPattern = {}) override;
+                           const PatternCallback& onPattern = {});
 
-  /// Rebuilds the backend from scratch (fresh-session semantics).
-  void reset() override;
+  /// Discards cached session state (fresh-session semantics): the sharded
+  /// runner forgets its last checkpoint and clears a private store.
+  void reset();
 
-  /// Replaces the engine's workload in place and rebuilds the backend,
+  /// Replaces the engine's workload in place and rebuilds the runner,
   /// keeping the current options — the engines-as-reusable-resources hook
   /// the service-mode EnginePool uses instead of destroying and
   /// reconstructing Engine objects per request. A shared
@@ -171,12 +206,15 @@ class Engine : public FaultSimulator {
   GoodRunResult runGood(const TestSequence& seq) const;
 
  private:
-  std::unique_ptr<FaultSimulator> makeBackend() const;
+  /// Builds sharded_ when the options select the sharded strategy.
+  void rebuild();
 
   Network net_;
   FaultList faults_;
   EngineOptions options_;
-  std::unique_ptr<FaultSimulator> backend_;
+  /// Non-null iff the concurrent backend runs with jobs > 1 over more than
+  /// one fault.
+  std::unique_ptr<ShardedRunner> sharded_;
   /// Lazily computed, invalidated by rebind() (the workload is otherwise
   /// immutable for the engine's lifetime).
   mutable std::optional<std::uint64_t> netFp_;

@@ -11,27 +11,18 @@
 namespace fmossim {
 
 ShardedRunner::ShardedRunner(const Network& net, FaultList faults,
-                             FsimOptions options, unsigned jobs,
-                             std::uint32_t batchFaults,
-                             std::shared_ptr<CheckpointStore> store,
-                             std::size_t checkpointBudgetBytes,
-                             sched::SchedulePolicy schedule,
-                             std::shared_ptr<sched::HistoryStore> history,
-                             std::string historyFile)
+                             const EngineOptions& options)
     : net_(net),
       faults_(std::move(faults)),
       options_(options),
-      batchFaults_(batchFaults),
-      store_(std::move(store)),
-      ownsStore_(store_ == nullptr),
-      schedule_(schedule),
-      history_(std::move(history)),
-      historyFile_(std::move(historyFile)),
+      fsim_(fsimOptions(options)),
+      jobs_(std::max(1u, std::min(options.jobs,
+                                  std::max(1u, faults_.size())))),
+      store_(options.checkpointStore),
       faultsFp_(faultListFingerprint(faults_)) {
-  jobs_ = std::max(1u, std::min(jobs, std::max(1u, faults_.size())));
-  if (ownsStore_) {
+  if (store_ == nullptr) {
     CheckpointStore::Options sopts;
-    sopts.budgetBytes = checkpointBudgetBytes;
+    sopts.budgetBytes = options.checkpointBudgetBytes;
     store_ = std::make_shared<CheckpointStore>(sopts);
   }
 }
@@ -136,39 +127,41 @@ double ShardedRunner::ensureCheckpoint(PatternSource& source) {
   // Charge the recording time to the run that actually recorded; cache
   // hits (in this runner or a shared store) cost nothing.
   bool recordedNow = false;
-  checkpoint_ = store_->acquire(net_, source, options_, &recordedNow);
+  checkpoint_ = store_->acquire(net_, source, fsim_, &recordedNow);
   return recordedNow ? checkpoint_->recordSeconds() : 0.0;
 }
 
 sched::BatchPlan ShardedRunner::buildPlan(unsigned effectiveJobs) const {
   std::shared_ptr<const sched::DetectionHistory> hist;
-  if (schedule_ == sched::SchedulePolicy::History) {
+  if (options_.schedule == sched::SchedulePolicy::History) {
     // The in-memory store (fed by prior runs in this process, or by other
     // engines sharing it) wins over the sidecar; the file serves cold
     // starts. Both are keyed on the fault-list fingerprint so stale history
     // from a different universe is never applied.
-    if (history_ != nullptr) hist = history_->lookup(faultsFp_);
-    if (hist == nullptr && !historyFile_.empty()) {
-      if (auto fromFile = sched::loadHistoryFile(historyFile_, faultsFp_)) {
+    if (options_.historyStore != nullptr) {
+      hist = options_.historyStore->lookup(faultsFp_);
+    }
+    if (hist == nullptr && !options_.historyFile.empty()) {
+      if (auto fromFile =
+              sched::loadHistoryFile(options_.historyFile, faultsFp_)) {
         hist = std::make_shared<sched::DetectionHistory>(std::move(*fromFile));
       }
     }
   }
-  return sched::makeSchedule(schedule_, std::move(hist))
-      ->plan(faults_.size(), effectiveJobs, batchFaults_);
+  return sched::makeSchedule(options_.schedule, std::move(hist))
+      ->plan(faults_.size(), effectiveJobs, options_.batchFaults);
 }
 
 void ShardedRunner::publishHistory(const FaultSimResult& merged) const {
-  if (history_ == nullptr && historyFile_.empty()) return;
-  if (history_ != nullptr) {
-    history_->record(faultsFp_, merged.detectedAtPattern);
+  if (options_.historyStore != nullptr) {
+    options_.historyStore->record(faultsFp_, merged.detectedAtPattern);
   }
-  if (!historyFile_.empty()) {
+  if (!options_.historyFile.empty()) {
     sched::DetectionHistory h;
     h.faultsFingerprint = faultsFp_;
     h.detectedAtPattern = merged.detectedAtPattern;
     // Best-effort: a read-only directory loses persistence, not results.
-    sched::saveHistoryFile(historyFile_, h);
+    sched::saveHistoryFile(options_.historyFile, h);
   }
 }
 
@@ -199,7 +192,7 @@ FaultSimResult ShardedRunner::runBatches(const Timer& total,
     FaultList batch(std::move(gathered));
     // Every batch replays entirely from the trace: workers never touch the
     // sequence or the source.
-    ConcurrentFaultSimulator sim(net_, batch, options_, nullptr,
+    ConcurrentFaultSimulator sim(net_, batch, fsim_, nullptr,
                                  checkpoint_.get());
     std::vector<PatternStat> perPattern;
     if (rows) perPattern.reserve(checkpoint_->numPatterns());
@@ -211,7 +204,7 @@ FaultSimResult ShardedRunner::runBatches(const Timer& total,
   FaultSimResult merged = mergeShardResults(
       batchResults, plan.slices, checkpoint_->numPatterns(), checkpoint_.get(),
       plan.order.empty() ? nullptr : &plan.order);
-  merged.droppedDetected = options_.dropDetected;
+  merged.droppedDetected = fsim_.dropDetected;
   merged.totalSeconds = total.seconds();
   merged.totalCpuSeconds += recordSeconds;
   publishHistory(merged);

@@ -1,6 +1,8 @@
 /// \file
 /// Sharded parallel fault simulation with good-machine checkpoint reuse and
-/// a work-stealing fault-batch scheduler.
+/// a work-stealing fault-batch scheduler — the strategy an Engine owns when
+/// EngineOptions selects the concurrent backend with jobs > 1 (the runner is
+/// built from those same EngineOptions).
 ///
 /// The concurrent engine simulates faulty circuits purely by difference from
 /// the good circuit; faulty circuits never interact with each other. The
@@ -16,7 +18,7 @@
 ///     (src/core/checkpoint_store.hpp): either a store shared by the caller
 ///     via EngineOptions::checkpointStore — so many engines and bench rows
 ///     reuse one recording — or a private per-runner store, which also
-///     caches across run() calls and is discarded by reset(). The store's
+///     caches across run() calls and is cleared by reset(). The store's
 ///     memory budget (EngineOptions::checkpointBudgetBytes for the private
 ///     store) spills huge traces to disk with a sliding replay window.
 ///
@@ -33,7 +35,7 @@
 /// the HistorySchedule lays batches out by a prior run's detection record so
 /// expensive faults are quarantined together (see that header). The runner
 /// feeds the schedule layer by publishing every run's detection record into
-/// the attached sched::HistoryStore and/or `--history-file` sidecar.
+/// EngineOptions::historyStore and/or the EngineOptions::historyFile sidecar.
 ///
 /// Determinism: the batch plan is a pure function of (numFaults, jobs,
 /// batchFaults, policy, history) — workers race only for *which* batch they
@@ -52,11 +54,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "api/fault_simulator.hpp"
+#include "api/engine.hpp"
 #include "core/checkpoint.hpp"
 #include "core/checkpoint_store.hpp"
 #include "sched/fault_schedule.hpp"
@@ -64,57 +65,22 @@
 
 namespace fmossim {
 
-/// FaultSimulator that replays a shared good-machine checkpoint in one
-/// concurrent engine per fault batch, scheduled work-stealing style across
-/// `jobs` workers (the calling thread and jobs - 1 spawned threads), and
-/// deterministically merges the batch results.
-class ShardedRunner : public FaultSimulator {
+/// Replays a shared good-machine checkpoint in one concurrent engine per
+/// fault batch, scheduled work-stealing style across `jobs` workers (the
+/// calling thread and jobs - 1 spawned threads), and deterministically merges
+/// the batch results.
+class ShardedRunner {
  public:
-  /// `jobs` is clamped to [1, faults.size()] (a worker per fault at most);
-  /// at run time the worker count is additionally capped at the hardware
-  /// concurrency (the batch queue decouples batch count from worker count;
-  /// see util/parallel.hpp).
-  /// `batchFaults` sets the fault-batch size: 0 selects the auto schedule
-  /// (see sched::contiguousBatches), any other value fixed-size batches of
-  /// that many faults.
-  ///
-  /// `store` (optional) is a shared checkpoint cache; recordings are then
-  /// reused across every runner and engine holding the same store, and
-  /// reset() leaves the shared cache alone. When null, the runner creates a
-  /// private store with `checkpointBudgetBytes` as its memory budget
-  /// (ignored for a shared store, which carries its own budget).
-  ///
-  /// `schedule` selects the batch-layout policy. `history` (optional) is the
-  /// shared in-memory detection-history cache: every run records into it,
-  /// and the History policy consumes it. `historyFile` (optional) names a
-  /// sidecar file (sched::saveHistoryFile format) that is loaded as a
-  /// fallback history source and rewritten after every run — history then
-  /// survives process restarts. All three default to the classic behavior.
-  ShardedRunner(const Network& net, FaultList faults, FsimOptions options,
-                unsigned jobs, std::uint32_t batchFaults = 0,
-                std::shared_ptr<CheckpointStore> store = nullptr,
-                std::size_t checkpointBudgetBytes = 0,
-                sched::SchedulePolicy schedule =
-                    sched::SchedulePolicy::Contiguous,
-                std::shared_ptr<sched::HistoryStore> history = nullptr,
-                std::string historyFile = {});
-
-  /// Always "sharded".
-  const char* backendName() const override { return "sharded"; }
-  /// The referenced network.
-  const Network& network() const override { return net_; }
-  /// The injected fault list (global order).
-  const FaultList& faults() const override { return faults_; }
-  /// Effective worker count after clamping.
-  unsigned jobs() const { return jobs_; }
-  /// The configured batch-size knob (0 = guided schedule).
-  std::uint32_t batchFaults() const { return batchFaults_; }
-
-  /// The checkpoint store this runner records into and reuses from (private
-  /// unless one was shared in at construction).
-  const std::shared_ptr<CheckpointStore>& checkpointStore() const {
-    return store_;
-  }
+  /// Reads every EngineOptions field but `backend`: the simulation fields
+  /// through fsimOptions(), `jobs` (clamped to [1, faults.size()] — a worker
+  /// per fault at most; at run time also capped at the hardware concurrency,
+  /// see util/parallel.hpp), `batchFaults` (0 = the auto schedule, see
+  /// sched::contiguousBatches), `checkpointStore` (null: a private store
+  /// with `checkpointBudgetBytes` as its budget), `schedule`, and the
+  /// `historyStore`/`historyFile` history sources, which every run also
+  /// records into. `net` must outlive the runner.
+  ShardedRunner(const Network& net, FaultList faults,
+                const EngineOptions& options);
 
   /// The checkpoint used by the most recent run() or runStream(), or
   /// nullptr before the first run or after reset() (diagnostics and tests).
@@ -135,8 +101,7 @@ class ShardedRunner : public FaultSimulator {
   ///     totalCpuSeconds = engine time summed across batches + recording.
   /// `onPattern` fires after the merge, once per pattern in order.
   FaultSimResult run(const TestSequence& seq,
-                     const PatternCallback& onPattern) override;
-  using FaultSimulator::run;
+                     const PatternCallback& onPattern = {});
 
   /// Native streaming run: acquires the checkpoint for the source exactly
   /// as run() does (a miss records it by consuming the source once, never
@@ -149,14 +114,14 @@ class ShardedRunner : public FaultSimulator {
   /// Resident memory is flat in the sequence length when the checkpoint
   /// store carries a spill budget.
   FaultSimResult runStream(PatternSource& source, RowSink* sink = nullptr,
-                           const PatternCallback& onPattern = {}) override;
+                           const PatternCallback& onPattern = {});
 
   /// Drops the runner's reference to the last checkpoint and, for a private
   /// store, clears the cache (fresh-session semantics). A shared store is
   /// left untouched — its whole point is outliving individual runners.
-  void reset() override {
+  void reset() {
     checkpoint_.reset();
-    if (ownsStore_) store_->clear();
+    if (options_.checkpointStore == nullptr) store_->clear();
   }
 
  private:
@@ -184,15 +149,11 @@ class ShardedRunner : public FaultSimulator {
 
   const Network& net_;
   FaultList faults_;
-  FsimOptions options_;
+  EngineOptions options_;
+  FsimOptions fsim_;
   unsigned jobs_;
-  std::uint32_t batchFaults_;
-  std::shared_ptr<CheckpointStore> store_;
-  bool ownsStore_;
+  std::shared_ptr<CheckpointStore> store_;  ///< shared or private
   std::shared_ptr<const GoodMachineCheckpoint> checkpoint_;
-  sched::SchedulePolicy schedule_;
-  std::shared_ptr<sched::HistoryStore> history_;
-  std::string historyFile_;
   std::uint64_t faultsFp_;  ///< history key (faultListFingerprint)
 };
 

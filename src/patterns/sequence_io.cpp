@@ -76,67 +76,30 @@ std::vector<NodeId> parseOutputsLine(const Network& net,
 
 }  // namespace
 
-TestSequence parseSequence(const Network& net, const std::string& text) {
+namespace {
+
+/// Drains a stream reader into a materialized sequence: the one grammar for
+/// every reader of the format.
+TestSequence readSequence(const Network& net, std::istream& in) {
+  SequenceStreamReader reader(net, in);
   TestSequence seq;
-  Pattern current;
-  bool inPattern = false;
-  std::optional<std::uint64_t> declared;
-
-  const auto flush = [&]() {
-    if (inPattern) {
-      if (current.settings.empty()) {
-        throw Error("sequence: pattern '" + current.label + "' has no settings");
-      }
-      seq.addPattern(std::move(current));
-      current = Pattern{};
-    }
-  };
-
-  std::istringstream stream(text);
-  std::string line;
-  std::size_t lineNo = 0;
-  while (std::getline(stream, line)) {
-    ++lineNo;
-    const auto trimmed = trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    const auto tok = toTokens(trimmed);
-    const std::string kind = toUpper(tok[0]);
-
-    if (kind == "OUTPUTS" || kind == "OUTPUT") {
-      for (const NodeId n : parseOutputsLine(net, tok, lineNo)) {
-        seq.addOutput(n);
-      }
-    } else if (kind == "PATTERNS") {
-      if (tok.size() != 2) fail(lineNo, "patterns takes exactly one count");
-      if (declared.has_value()) fail(lineNo, "duplicate patterns directive");
-      declared = parseCount(std::string(tok[1]), lineNo);
-    } else if (kind == "PATTERN") {
-      if (tok.size() > 2) {
-        fail(lineNo, "pattern takes at most one label token");
-      }
-      flush();
-      inPattern = true;
-      current.label = tok.size() > 1 ? std::string(tok[1]) : "";
-    } else if (kind == "SET") {
-      if (!inPattern) fail(lineNo, "'set' outside a pattern");
-      current.settings.push_back(parseSetLine(net, tok, lineNo));
-    } else {
-      fail(lineNo, "unknown directive '" + std::string(tok[0]) + "'");
-    }
-  }
-  flush();
+  for (const NodeId n : reader.outputs()) seq.addOutput(n);
+  Pattern p;
+  while (reader.next(p)) seq.addPattern(std::move(p));
   if (seq.empty()) {
     throw Error("sequence contains no patterns");
   }
   if (seq.outputs().empty()) {
     throw Error("sequence declares no outputs");
   }
-  if (declared.has_value() && *declared != seq.size()) {
-    throw Error(format(
-        "sequence declares %llu patterns but contains %u",
-        static_cast<unsigned long long>(*declared), seq.size()));
-  }
   return seq;
+}
+
+}  // namespace
+
+TestSequence parseSequence(const Network& net, const std::string& text) {
+  std::istringstream in(text);
+  return readSequence(net, in);
 }
 
 TestSequence loadSequenceFile(const Network& net, const std::string& path) {
@@ -144,9 +107,7 @@ TestSequence loadSequenceFile(const Network& net, const std::string& path) {
   if (!in) {
     throw Error("cannot open sequence file '" + path + "'");
   }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return parseSequence(net, ss.str());
+  return readSequence(net, in);
 }
 
 // ------------------------------------------------------------- streaming ---

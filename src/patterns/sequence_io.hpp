@@ -6,8 +6,11 @@
 //   pattern [label]         start a new pattern
 //   set a=1 b=0 clk=X       one input setting (assignments applied together)
 //
-// Node names are resolved against a Network; values are 0, 1 or X. All
-// pattern counts are 64-bit end to end: the `patterns` directive, the
+// The header (outputs and patterns lines) precedes the first pattern. Node
+// names are resolved against a Network; values are 0, 1 or X. One grammar
+// serves every reader: parseSequence and loadSequenceFile drain a
+// SequenceStreamReader, as FilePatternSource does. All pattern counts are
+// 64-bit end to end: the `patterns` directive, the
 // streaming reader/writer below and FilePatternSource carry sequences
 // longer than 2^32 patterns without truncation (a materialized TestSequence
 // remains bounded by its 32-bit size; only the streaming path crosses it).
@@ -23,9 +26,10 @@
 
 namespace fmossim {
 
-/// Parses the sequence text against the network. Throws Error with line
-/// numbers on malformed input, unknown node names, or a `patterns N`
-/// declaration that disagrees with the actual pattern count.
+/// Parses the sequence text against the network by draining a
+/// SequenceStreamReader. Throws Error with line numbers on malformed input,
+/// unknown node names or a header line after the first pattern, and on a
+/// `patterns N` declaration that disagrees with the actual pattern count.
 TestSequence parseSequence(const Network& net, const std::string& text);
 
 /// Reads a sequence file.
@@ -42,8 +46,7 @@ std::string writeSequence(const Network& net, const TestSequence& seq);
 /// Incremental parser for the sequence text format: one pattern at a time,
 /// never holding the whole sequence. The header — outputs directives and
 /// the optional 64-bit `patterns N` count — must precede the first pattern
-/// (the materialized parseSequence stays lenient about late outputs lines;
-/// a stream consumer needs the outputs before the first settle).
+/// (a stream consumer needs the outputs before the first settle).
 class SequenceStreamReader {
  public:
   /// Parses the header up to (not including) the first pattern. Throws

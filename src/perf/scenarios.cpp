@@ -111,9 +111,8 @@ Workload fuzzScenario(const std::string& name, const GenOptions& gen,
 
 const std::vector<std::string>& scenarioNames() {
   static const std::vector<std::string> names = {
-      "ram64_seq1",  "ram64_seq2",     "ram256_seq1",   "fuzz_small",
-      "fuzz_medium", "fuzz_large",     "ram256_seq1_j4", "fuzz_large_j4",
-      "fuzz_xlarge_seq", "seu_ram256",
+      "ram64_seq1",  "ram64_seq2", "ram256_seq1",     "fuzz_small",
+      "fuzz_medium", "fuzz_large", "fuzz_xlarge_seq", "seu_ram256",
   };
   return names;
 }
@@ -173,28 +172,6 @@ Workload buildScenarioWorkload(const std::string& name) {
     // vs those rows gate bit-identity in CI).
     w.rows.push_back({Backend::Concurrent, 4, DetectionPolicy::DefiniteOnly,
                       true, 0, false, sched::SchedulePolicy::History});
-    return w;
-  }
-  // Parallel speedup trackers: exactly two rows — the jobs=1 concurrent
-  // headline and the checkpointed work-stealing jobs=4 runner — so the
-  // jobs=4/jobs=1 wall-clock ratio is a number CI records and gates on.
-  if (name == "ram256_seq1_j4") {
-    Workload w = ramScenario(name, ram256Config(), /*seq2=*/false,
-                             /*withSerial=*/false,
-                             "RAM256 seq1 parallel speedup tracker: "
-                             "concurrent jobs=1 vs checkpointed sharded "
-                             "jobs=4");
-    w.rows = {{Backend::Concurrent, 1, DetectionPolicy::AnyDifference, true},
-              {Backend::Concurrent, 4, DetectionPolicy::AnyDifference, true}};
-    return w;
-  }
-  if (name == "fuzz_large_j4") {
-    Workload w = fuzzScenario(name, fuzzGen(13, 120, 8, 240, 32),
-                              "fuzz_large parallel speedup tracker: "
-                              "concurrent jobs=1 vs checkpointed sharded "
-                              "jobs=4");
-    w.rows = {{Backend::Concurrent, 1, DetectionPolicy::DefiniteOnly, true},
-              {Backend::Concurrent, 4, DetectionPolicy::DefiniteOnly, true}};
     return w;
   }
   // Huge-sequence scale tracker: the workload class the streaming pattern

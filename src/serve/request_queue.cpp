@@ -64,7 +64,16 @@ void RequestQueue::finish(const std::shared_ptr<Job>& job, JobStatus status,
   job->result = std::move(result);
   job->status = isTerminal(status) ? status : JobStatus::Failed;
   if (running_ > 0) --running_;
+  retire(job->id);
   doneCv_.notify_all();
+}
+
+void RequestQueue::retire(std::uint64_t id) {
+  terminal_.push_back(id);
+  while (terminal_.size() > kMaxTerminalJobs) {
+    jobs_.erase(terminal_.front());
+    terminal_.pop_front();
+  }
 }
 
 bool RequestQueue::cancel(std::uint64_t id) {
@@ -75,6 +84,7 @@ bool RequestQueue::cancel(std::uint64_t id) {
   switch (job.status) {
     case JobStatus::Queued:
       job.status = JobStatus::Cancelled;
+      retire(id);
       doneCv_.notify_all();
       return true;
     case JobStatus::Running:
@@ -133,6 +143,7 @@ void RequestQueue::stop() {
     const auto it = jobs_.find(id);
     if (it != jobs_.end() && it->second->status == JobStatus::Queued) {
       it->second->status = JobStatus::Cancelled;
+      retire(id);
     }
   }
   pending_.clear();

@@ -11,8 +11,10 @@
 //
 // Lifecycle bookkeeping (queuedSeconds, latencySeconds) is stamped here so
 // every published JobResult carries the service-level timing the stats verb
-// aggregates. Completed jobs are kept for result retrieval until the queue
-// is destroyed; the daemon's job table is its result store.
+// aggregates. The daemon's job table is its result store: it keeps the
+// newest kMaxTerminalJobs terminal jobs for result retrieval and evicts the
+// oldest-finished beyond that, so a long-running daemon's memory stays
+// bounded (an inline spec carries its whole netlist and sequence text).
 #pragma once
 
 #include <atomic>
@@ -53,6 +55,11 @@ struct JobView {
 /// The queue; see the file comment.
 class RequestQueue {
  public:
+  /// Terminal jobs kept for status/result retrieval. Older ones are evicted
+  /// in the order they finished and then answer like unknown ids; a waiter
+  /// already blocked in waitTerminal() still gets its job's result.
+  static constexpr std::size_t kMaxTerminalJobs = 4096;
+
   /// `bound` caps the number of queued (not yet claimed) jobs.
   explicit RequestQueue(std::size_t bound = 64);
 
@@ -93,6 +100,9 @@ class RequestQueue {
 
  private:
   JobView viewOf(const Job& job) const;  ///< caller holds mu_
+  /// Records that `id` just became terminal and evicts the oldest terminal
+  /// jobs past kMaxTerminalJobs; caller holds mu_.
+  void retire(std::uint64_t id);
 
   const std::size_t bound_;
   mutable std::mutex mu_;
@@ -100,6 +110,7 @@ class RequestQueue {
   mutable std::condition_variable doneCv_;   ///< result waiters wait here
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::deque<std::uint64_t> pending_;
+  std::deque<std::uint64_t> terminal_;  ///< terminal job ids, oldest first
   std::uint64_t nextId_ = 1;
   std::size_t running_ = 0;
   bool stopped_ = false;

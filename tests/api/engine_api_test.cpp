@@ -1,5 +1,5 @@
-// The unified FaultSimulator API: both backends reachable through the same
-// interface with a shared, fully populated FaultSimResult; repeatable runs
+// The unified Engine API: both backends reachable through the same class
+// with a shared, fully populated FaultSimResult; repeatable runs
 // (fresh-session semantics); and one library-wide default detection policy.
 #include <gtest/gtest.h>
 
@@ -53,16 +53,16 @@ TEST(EngineApiTest, BothBackendsReachableThroughOneInterface) {
 
   for (const DetectionPolicy policy :
        {DetectionPolicy::DefiniteOnly, DetectionPolicy::AnyDifference}) {
-    std::vector<std::unique_ptr<FaultSimulator>> sims;
+    std::vector<std::unique_ptr<Engine>> engines;
     for (const Backend backend : {Backend::Serial, Backend::Concurrent}) {
       EngineOptions opts;
       opts.backend = backend;
       opts.policy = policy;
-      sims.push_back(std::make_unique<Engine>(sr.net, faults, opts));
+      engines.push_back(std::make_unique<Engine>(sr.net, faults, opts));
     }
 
     std::vector<FaultSimResult> results;
-    for (const auto& sim : sims) results.push_back(sim->run(seq));
+    for (const auto& engine : engines) results.push_back(engine->run(seq));
 
     const FaultSimResult& serial = results[0];
     const FaultSimResult& concurrent = results[1];
@@ -193,6 +193,11 @@ TEST(EngineApiTest, BackendNamesAndAccessors) {
   EXPECT_STREQ(serial.backendName(), "serial");
   EXPECT_STREQ(concurrent.backendName(), "concurrent");
   EXPECT_STREQ(sharded.backendName(), "sharded");
+  // jobs > 1 over a single fault has nothing to shard: it runs the plain
+  // concurrent engine (the differential oracle relies on this fallback).
+  Engine single(sr.net, FaultList({faults[0]}),
+                {.backend = Backend::Concurrent, .jobs = 4});
+  EXPECT_STREQ(single.backendName(), "concurrent");
   EXPECT_EQ(serial.faults().size(), faults.size());
   EXPECT_EQ(serial.network().numNodes(), sr.net.numNodes());
 }

@@ -212,18 +212,22 @@ TEST(SchedulerMatrixTest, HistorySidecarRoundTrip) {
   const std::string path = testing::TempDir() + "/fmossim_history_test.txt";
   std::remove(path.c_str());
 
-  FsimOptions fopts;
-  fopts.policy = DetectionPolicy::AnyDifference;
-  ShardedRunner writer(w.net, w.faults, fopts, 2, 0, nullptr, 0,
-                       sched::SchedulePolicy::Contiguous, nullptr, path);
+  ShardedRunner writer(w.net, w.faults,
+                       {.policy = DetectionPolicy::AnyDifference,
+                        .jobs = 2,
+                        .schedule = sched::SchedulePolicy::Contiguous,
+                        .historyFile = path});
   const FaultSimResult ref = writer.run(w.seq);
 
   const auto loaded = sched::loadHistoryFile(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->detectedAtPattern, ref.detectedAtPattern);
 
-  ShardedRunner reader(w.net, w.faults, fopts, 4, 0, nullptr, 0,
-                       sched::SchedulePolicy::History, nullptr, path);
+  ShardedRunner reader(w.net, w.faults,
+                       {.policy = DetectionPolicy::AnyDifference,
+                        .jobs = 4,
+                        .schedule = sched::SchedulePolicy::History,
+                        .historyFile = path});
   const FaultSimResult got = reader.run(w.seq);
   EXPECT_EQ(got.detectedAtPattern, ref.detectedAtPattern);
   EXPECT_EQ(got.totalNodeEvals, ref.totalNodeEvals);
@@ -252,8 +256,11 @@ TEST(SchedulerMatrixTest, HistorySidecarRoundTrip) {
     EXPECT_FALSE(sched::loadHistoryFile(path, loaded->faultsFingerprint)
                      .has_value())
         << count;
-    ShardedRunner damaged(w.net, w.faults, fopts, 2, 0, nullptr, 0,
-                          sched::SchedulePolicy::History, nullptr, path);
+    ShardedRunner damaged(w.net, w.faults,
+                          {.policy = DetectionPolicy::AnyDifference,
+                           .jobs = 2,
+                           .schedule = sched::SchedulePolicy::History,
+                           .historyFile = path});
     EXPECT_EQ(perf::resultChecksum(damaged.run(w.seq)),
               perf::resultChecksum(ref))
         << count;
@@ -539,9 +546,8 @@ TEST(SchedulerMatrixTest, SpilledReplayBitIdenticalAcrossSchedules) {
 // (same object), results stay identical; reset() drops the cache.
 TEST(SchedulerMatrixTest, CheckpointIsReusedAcrossRuns) {
   const MatrixWorkload w = matrixWorkloads()[1];
-  FsimOptions fopts;
-  fopts.policy = DetectionPolicy::AnyDifference;
-  ShardedRunner runner(w.net, w.faults, fopts, 4);
+  ShardedRunner runner(w.net, w.faults,
+                       {.policy = DetectionPolicy::AnyDifference, .jobs = 4});
   EXPECT_EQ(runner.checkpoint(), nullptr);
   const FaultSimResult first = runner.run(w.seq);
   const GoodMachineCheckpoint* ck = runner.checkpoint();

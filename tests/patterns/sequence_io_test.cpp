@@ -62,6 +62,11 @@ TEST(SequenceIoTest, RejectsMalformedInput) {
   EXPECT_THROW(parseSequence(net, "outputs out\nfrobnicate\n"), Error);
   // unknown output node
   EXPECT_THROW(parseSequence(net, "outputs nope\npattern\nset in=1\n"), Error);
+  // header lines after the first pattern
+  EXPECT_THROW(parseSequence(net, "pattern\nset in=1\noutputs out\n"), Error);
+  EXPECT_THROW(
+      parseSequence(net, "outputs out\npattern\nset in=1\npatterns 1\n"),
+      Error);
 }
 
 TEST(SequenceIoTest, ErrorsCarryLineNumbers) {

@@ -14,9 +14,8 @@ TEST(BenchScenarioTest, RegistryIsStableAndComplete) {
   // The registry order is part of the harness contract (BENCH file ordering,
   // docs/BENCHMARKING.md); changing it is a schema-affecting decision.
   const std::vector<std::string> expected = {
-      "ram64_seq1",  "ram64_seq2",     "ram256_seq1",   "fuzz_small",
-      "fuzz_medium", "fuzz_large",     "ram256_seq1_j4", "fuzz_large_j4",
-      "fuzz_xlarge_seq", "seu_ram256",
+      "ram64_seq1",  "ram64_seq2", "ram256_seq1",     "fuzz_small",
+      "fuzz_medium", "fuzz_large", "fuzz_xlarge_seq", "seu_ram256",
   };
   EXPECT_EQ(names, expected);
   EXPECT_EQ(scenarioNames(), names);  // deterministic across calls

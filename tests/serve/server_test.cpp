@@ -18,6 +18,7 @@
 #include "api/engine.hpp"
 #include "perf/bench_runner.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/request_queue.hpp"
 #include "serve/transport.hpp"
 #include "seu/seu_campaign.hpp"
 
@@ -332,6 +333,30 @@ TEST(ServerTest, LatencyStatsKeepMovingPastFourThousandCompletions) {
   EXPECT_LE(after.p50Ms, after.p95Ms);
   EXPECT_LE(after.p95Ms, after.p99Ms);
   server.stop();
+}
+
+// A long-running daemon keeps only the newest kMaxTerminalJobs finished
+// jobs: the oldest-finished ids answer like unknown ones, the newest stay
+// retrievable.
+TEST(RequestQueueTest, TerminalJobTableIsBounded) {
+  RequestQueue queue;
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < RequestQueue::kMaxTerminalJobs + 10; ++i) {
+    ids.push_back(queue.submit(WorkloadSpec{}));
+    ASSERT_NE(ids.back(), 0u);
+    const std::shared_ptr<Job> job = queue.claim();
+    ASSERT_EQ(job->id, ids.back());
+    queue.finish(job, JobStatus::Done, JobResult{});
+  }
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_FALSE(queue.snapshot(ids[i]).has_value()) << i;
+    EXPECT_FALSE(queue.waitTerminal(ids[i]).has_value()) << i;
+    EXPECT_FALSE(queue.cancel(ids[i])) << i;
+  }
+  EXPECT_TRUE(queue.snapshot(ids[10]).has_value());
+  const std::optional<JobView> last = queue.waitTerminal(ids.back());
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->status, JobStatus::Done);
 }
 
 TEST(SocketTransportTest, OversizedRequestLineGetsAnErrorAndHangup) {
